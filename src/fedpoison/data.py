@@ -42,13 +42,6 @@ class Corpus:
 
 
 @dataclass
-class PartitionPlan:
-    client_indices: list[np.ndarray]
-    alpha: float
-    seed: int
-
-
-@dataclass
 class SynthConfig:
     train_per_class: int = 500
     test_per_class: int = 62
@@ -161,8 +154,9 @@ def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tupl
     return X, y
 
 
-def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) -> PartitionPlan:
-    """Per-class Dirichlet(alpha) allocation of train indices to clients.
+def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) -> list[np.ndarray]:
+    """Per-class Dirichlet(alpha) allocation of train indices to clients,
+    one sorted index array per client.
 
     Disjoint cover of the train set; a client that would end up empty steals
     one example from the currently largest client.
@@ -194,11 +188,7 @@ def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) ->
         if not buckets[i]:
             donor = max(range(n_clients), key=lambda j: len(buckets[j]))
             buckets[i].append(buckets[donor].pop())
-    return PartitionPlan(
-        client_indices=[np.array(sorted(b), dtype=np.int64) for b in buckets],
-        alpha=alpha,
-        seed=seed,
-    )
+    return [np.array(sorted(b), dtype=np.int64) for b in buckets]
 
 
 def flip_labels(

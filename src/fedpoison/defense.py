@@ -117,19 +117,18 @@ def geometric_median(
 
 
 def cosine_threshold_filter(
-    updates: np.ndarray, reference: np.ndarray, lam: float
+    updates: np.ndarray, cosines: np.ndarray, lam: float
 ) -> AggregationReport:
     """Accept updates whose cosine to the reference clears mean - lam*std.
 
-    Std is the population standard deviation; zero-norm updates score -1.
-    Accepted updates are averaged with equal weights.
+    `cosines` holds each update's cosine to the server's reference direction.
+    Std is the population standard deviation. Accepted updates are averaged
+    with equal weights.
     """
     updates = np.asarray(updates, dtype=float)
     if len(updates) < 2:
         raise DefenseError("cosine filter needs n >= 2")
-    if np.linalg.norm(reference) == 0.0:
-        raise DefenseError("reference direction has zero norm")
-    scores = np.array([cosine(u, reference) for u in updates])
+    scores = np.asarray(cosines, dtype=float)
     tau = float(scores.mean() - lam * scores.std())
     accepted = scores >= tau
     if not accepted.any():
@@ -168,17 +167,19 @@ def apply_defense(
     name: str,
     updates: np.ndarray,
     weights: np.ndarray,
-    reference: np.ndarray,
+    cosines: np.ndarray,
     params: DefenseParams,
 ) -> AggregationReport:
     """Dispatch to a rule and normalize its output into an AggregationReport.
 
-    For non-cosine rules the scores column still carries per-update cosine to
-    the reference so every run logs comparable similarity traces.
+    `cosines` holds each update's cosine to the server's reference direction.
+    Except under krum and multi_krum, whose scores are their own distance
+    sums, the report's scores are these cosines, so every run logs comparable
+    similarity traces.
     """
     updates = np.asarray(updates, dtype=float)
     n = len(updates)
-    cos_scores = np.array([cosine(u, reference) for u in updates])
+    cos_scores = np.asarray(cosines, dtype=float)
     if name == "fedavg":
         agg = fedavg(updates, weights)
         return AggregationReport(agg, np.ones(n, bool), cos_scores, rule=name)
@@ -202,5 +203,5 @@ def apply_defense(
         agg, conv = geometric_median(updates, params.gm_tol, params.gm_max_iter)
         return AggregationReport(agg, np.ones(n, bool), cos_scores, converged=conv, rule=name)
     if name == "cosine_filter":
-        return cosine_threshold_filter(updates, reference, params.lambda_)
+        return cosine_threshold_filter(updates, cos_scores, params.lambda_)
     raise DefenseError(f"unknown defense {name!r}")

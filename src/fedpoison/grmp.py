@@ -43,19 +43,6 @@ class VgaeParams:
 
 
 @dataclass
-class LatentState:
-    Z: np.ndarray  # n x k
-    A_hat: np.ndarray  # n x n decoded edge probabilities
-
-
-@dataclass
-class DualState:
-    lambda_dual: float
-    stealth_floor: float
-    iterate: LatentState
-
-
-@dataclass
 class SpectralDecomposition:
     L: np.ndarray
     U: np.ndarray  # columns = eigenvectors, ascending eigenvalue order
@@ -77,8 +64,6 @@ class GrmpConfig:
     latent: int = 8
     vgae_epochs: int = 200
     vgae_lr: float = 0.01
-    knowledge: str = "full"  # or "own_plus_global"
-    window: int = 4  # rounds of estimated updates stacked in estimation mode
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +251,7 @@ def lagrange_dual_search(
     stealth_floor: float,
     steps: int,
     step_size: float,
-) -> tuple[DualState, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Dual-ascent search for an adversarial adjacency.
 
     Primal: gradient ascent on the reconstruction BCE of the decoded adjacency
@@ -277,8 +262,10 @@ def lagrange_dual_search(
     Z, so the pull-back toward the benign latent serves as the constraint
     subgradient.
 
-    Returns the best iterate that kept the cosine within 0.05 of the floor
-    (falling back to the last iterate if none did) and its binarized adjacency.
+    Returns (Z, lambda_dual, A_hat, A_adv): the best iterate that kept the
+    cosine within 0.05 of the floor (falling back to the last iterate if none
+    did), the final multiplier, the iterate's decoded edge probabilities and
+    their binarized adjacency.
     """
     if not -1.0 <= stealth_floor <= 1.0:
         raise ValueError("stealth_floor must lie in [-1, 1]")
@@ -315,13 +302,7 @@ def lagrange_dual_search(
 
     Z_final = best[1] if best is not None else Z
     A_hat = vgae_decode(Z_final)
-    A_adv = threshold_adjacency(A_hat)
-    state = DualState(
-        lambda_dual=lam,
-        stealth_floor=stealth_floor,
-        iterate=LatentState(Z=Z_final, A_hat=A_hat),
-    )
-    return state, A_adv
+    return Z_final, lam, A_hat, threshold_adjacency(A_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +391,7 @@ def craft_with_trace(
     decomp = gsp_decompose(g)
     mu0, _ = vgae_encode(params, g)
     recon_initial = recon_bce(vgae_decode(mu0), g.A)
-    state, A_adv = lagrange_dual_search(
+    _, lambda_dual, A_hat, A_adv = lagrange_dual_search(
         params, g, reference, cfg.stealth_floor, cfg.dual_steps, cfg.dual_step_size
     )
     X_syn = gsp_synthesize(decomp, A_adv)
@@ -419,69 +400,10 @@ def craft_with_trace(
     final = project_stealth(candidate, reference, cfg.stealth_floor, norm_cap)
     trace = {
         "recon_bce_initial": recon_initial,
-        "recon_bce_final": recon_bce(state.iterate.A_hat, g.A),
-        "lambda_dual": state.lambda_dual,
+        "recon_bce_final": recon_bce(A_hat, g.A),
+        "lambda_dual": lambda_dual,
         "stealth_cosine": cosine(final, reference),
         "edges_flipped": int(np.abs(A_adv - g.A).sum() // 2),
     }
     return final, trace
 
-
-def craft_malicious_update(
-    benign_updates: np.ndarray,
-    raw_poison: np.ndarray,
-    reference: np.ndarray,
-    cfg: GrmpConfig,
-    params: VgaeParams,
-) -> np.ndarray:
-    final, _ = craft_with_trace(benign_updates, raw_poison, reference, cfg, params)
-    return final
-
-
-# ---------------------------------------------------------------------------
-# attacker observation channel
-
-@dataclass
-class RoundObservation:
-    n_clients: int
-    benign_updates: Optional[np.ndarray] = None  # full-knowledge channel
-    global_delta: Optional[np.ndarray] = None  # applied aggregate this round
-    own_updates: Optional[np.ndarray] = None  # attacker submissions this round
-
-
-def collect_benign_observations(
-    history: list[RoundObservation], knowledge: str
-) -> tuple[list[np.ndarray], dict]:
-    """Per-round benign update matrices as seen through the chosen channel.
-
-    "full" passes the benign updates straight through. "own_plus_global"
-    reconstructs one pseudo-benign row per round from the global delta and the
-    attacker's own submissions; that reconstruction is exact under equal-weight
-    FedAvg and biased under any selective rule, which the metadata flags.
-    """
-    if not history:
-        raise ValueError("empty observation history")
-    if knowledge == "full":
-        mats = []
-        for obs in history:
-            if obs.benign_updates is None:
-                raise ValueError("full knowledge requested but benign updates missing")
-            mats.append(np.asarray(obs.benign_updates, dtype=float))
-        return mats, {"mode": "full", "estimated": False}
-    if knowledge == "own_plus_global":
-        mats = []
-        for obs in history:
-            if obs.global_delta is None or obs.own_updates is None:
-                raise ValueError("estimation mode needs global deltas and own updates")
-            own = np.atleast_2d(np.asarray(obs.own_updates, dtype=float))
-            n_benign = obs.n_clients - len(own)
-            if n_benign < 1:
-                raise ValueError("no benign clients to estimate")
-            est = (obs.n_clients * obs.global_delta - own.sum(axis=0)) / n_benign
-            mats.append(est[None, :])
-        return mats, {
-            "mode": "own_plus_global",
-            "estimated": True,
-            "unbiased_under": "equal-weight fedavg",
-        }
-    raise ValueError(f"unknown knowledge mode {knowledge!r}")

@@ -8,20 +8,12 @@ layout.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class UpdateVector:
-    delta: np.ndarray
-    client_id: int
-    round: int
-
-
-def init_params(hash_dim: int, class_count: int, seed: int = 0) -> np.ndarray:
-    """Zero init: softmax over zero logits is uniform. Seed kept for interface."""
+def init_params(hash_dim: int, class_count: int) -> np.ndarray:
+    """Zero init: softmax over zero logits is uniform."""
     if hash_dim < 1 or class_count < 1:
         raise ValueError("dims must be >= 1")
     return np.zeros(hash_dim * class_count)

@@ -23,7 +23,7 @@ from fedpoison import defense as defense_mod
 from fedpoison import grmp as grmp_mod
 from fedpoison import model as model_mod
 from fedpoison.defense import DefenseError, DefenseParams
-from fedpoison.grmp import GrmpConfig, RoundObservation
+from fedpoison.grmp import GrmpConfig
 
 ATTACKS = ("none", "naive_flip", "grmp")
 
@@ -126,43 +126,44 @@ class _RunState:
         self.cfg = cfg
         corpus = _build_corpus(cfg)
         dc = cfg.data
-        plan = data_mod.partition_noniid(
+        parts = data_mod.partition_noniid(
             corpus, cfg.n_clients, dc.alpha, _child_seed(cfg.seed, "partition")
         )
         fseed = _child_seed(cfg.seed, "hash")
+        # flipping changes labels only, so each client keeps one feature
+        # matrix with its clean labels and, alongside, its flipped labels
         self.client_data = []
-        self.client_data_flipped = []
-        for idx in plan.client_indices:
+        self.client_y_flipped = []
+        for idx in parts:
             part = [corpus.train[i] for i in idx]
             self.client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
             flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
-            self.client_data_flipped.append(data_mod.featurize_all(flipped, dc.hash_dim, fseed))
-        self.sizes = np.array([len(idx) for idx in plan.client_indices], dtype=float)
+            self.client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
+        self.sizes = np.array([len(idx) for idx in parts], dtype=float)
         self.X_test, self.y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
         subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
         self.X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
         self.class_count = corpus.class_count
         self.params = model_mod.init_params(dc.hash_dim, corpus.class_count)
         self.prev_aggregate: Optional[np.ndarray] = None
-        self.history: list[RoundObservation] = []
+        # benign update matrices of the rounds before the VGAE is fit (grmp only)
+        self.history: list[np.ndarray] = []
         self.vgae_params: Optional[grmp_mod.VgaeParams] = None
         self.attack_trace: list[dict] = []
         # the label-flip adversary needs src-class data to flip, so it controls
         # the clients holding the most flippable (triggered src-class) examples;
         # ties break toward the higher client id
         flippable = [
-            int(np.sum(self.client_data[i][1] != self.client_data_flipped[i][1]))
+            int(np.sum(self.client_data[i][1] != self.client_y_flipped[i]))
             for i in range(cfg.n_clients)
         ]
         order = sorted(range(cfg.n_clients), key=lambda i: (flippable[i], i), reverse=True)
         self.attacker_ids = sorted(order[: cfg.n_attackers])
         # the coordinated adversary's pooled local data, clean and flipped
         if cfg.n_attackers > 0:
-            att_clean = [self.client_data[i] for i in self.attacker_ids]
-            att_flip = [self.client_data_flipped[i] for i in self.attacker_ids]
-            self.X_att = np.concatenate([x for x, _ in att_clean])
-            self.y_att = np.concatenate([y for _, y in att_clean])
-            self.y_att_flip = np.concatenate([y for _, y in att_flip])
+            self.X_att = np.concatenate([self.client_data[i][0] for i in self.attacker_ids])
+            self.y_att = np.concatenate([self.client_data[i][1] for i in self.attacker_ids])
+            self.y_att_flip = np.concatenate([self.client_y_flipped[i] for i in self.attacker_ids])
 
 
 def _local_delta(state: _RunState, X, y, seed: int) -> np.ndarray:
@@ -180,6 +181,12 @@ def _local_delta(state: _RunState, X, y, seed: int) -> np.ndarray:
     )
 
 
+def _naive_delta(state: _RunState, round_idx: int, i: int) -> np.ndarray:
+    """Attacker i's honest local training on its label-flipped data."""
+    seed = _child_seed(state.cfg.seed, "train", round_idx, i)
+    return _local_delta(state, state.client_data[i][0], state.client_y_flipped[i], seed)
+
+
 def _estimate_floor(benign_updates: np.ndarray, reference: np.ndarray, cfg: ExperimentConfig) -> float:
     """Attacker-side threshold estimate: the defense's adaptive rule applied to
     the observed benign cosines, plus a safety margin."""
@@ -188,26 +195,14 @@ def _estimate_floor(benign_updates: np.ndarray, reference: np.ndarray, cfg: Expe
     return float(np.clip(floor, -1.0, 1.0))
 
 
-def _grmp_crafting_matrix(state: _RunState, benign_now: np.ndarray) -> np.ndarray:
-    cfg = state.cfg
-    if cfg.grmp.knowledge == "full":
-        return benign_now
-    mats, _ = grmp_mod.collect_benign_observations(state.history, cfg.grmp.knowledge)
-    stacked = np.concatenate(mats[-cfg.grmp.window :])
-    if len(stacked) < 2:
-        raise ValueError("estimation mode needs at least two rounds of history")
-    return stacked
-
-
 def _fit_vgae_if_needed(state: _RunState, benign_now: np.ndarray) -> None:
+    """Fit the VGAE once, on the benign updates of every earlier round, or on
+    this round's when the attack starts in round 1."""
     if state.vgae_params is not None:
         return
     cfg = state.cfg
-    if cfg.grmp.knowledge == "full" and state.history:
-        mats, _ = grmp_mod.collect_benign_observations(state.history, "full")
-        graphs = [grmp_mod.build_update_graph(m, cfg.grmp.tau_edge) for m in mats]
-    else:
-        graphs = [grmp_mod.build_update_graph(_grmp_crafting_matrix(state, benign_now), cfg.grmp.tau_edge)]
+    mats = state.history or [benign_now]
+    graphs = [grmp_mod.build_update_graph(m, cfg.grmp.tau_edge) for m in mats]
     state.vgae_params = grmp_mod.fit_vgae(
         graphs,
         cfg.grmp.hidden,
@@ -237,8 +232,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     if exploit:
         if cfg.attack == "naive_flip":
             for i in state.attacker_ids:
-                Xf, yf = state.client_data_flipped[i]
-                deltas[i] = _local_delta(state, Xf, yf, _child_seed(cfg.seed, "train", round_idx, i))
+                deltas[i] = _naive_delta(state, round_idx, i)
         else:  # grmp
             _fit_vgae_if_needed(state, benign_now)
             reference = (
@@ -246,7 +240,6 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
                 if state.prev_aggregate is not None
                 else benign_now.mean(axis=0)
             )
-            crafting = _grmp_crafting_matrix(state, benign_now)
             pseed = _child_seed(cfg.seed, "poison", round_idx)
             ptrain = lambda X, y: model_mod.local_train(
                 state.params, X, y, state.class_count, cfg.grmp.poison_epochs,
@@ -255,9 +248,9 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             raw_poison = ptrain(state.X_att, state.y_att_flip) - ptrain(state.X_att, state.y_att)
             gcfg = cfg.grmp
             if gcfg.auto_floor:
-                gcfg = replace(gcfg, stealth_floor=_estimate_floor(crafting, reference, cfg))
+                gcfg = replace(gcfg, stealth_floor=_estimate_floor(benign_now, reference, cfg))
             crafted, trace = grmp_mod.craft_with_trace(
-                crafting, raw_poison, reference, gcfg, state.vgae_params
+                benign_now, raw_poison, reference, gcfg, state.vgae_params
             )
             for i in state.attacker_ids:
                 rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
@@ -266,14 +259,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
                 deltas[i] = crafted + noise
             trace_entry = {"round": round_idx, **trace}
             # paired counterfactual: what the naive attacker would have sent
-            naive_deltas = [
-                _local_delta(
-                    state,
-                    *state.client_data_flipped[i],
-                    _child_seed(cfg.seed, "train", round_idx, i),
-                )
-                for i in state.attacker_ids
-            ]
+            naive_deltas = [_naive_delta(state, round_idx, i) for i in state.attacker_ids]
 
     updates = np.stack(deltas)
     reference = (
@@ -283,7 +269,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     defense_error = False
     try:
         report = defense_mod.apply_defense(
-            cfg.defense, updates, state.sizes, reference, cfg.defense_params
+            cfg.defense, updates, state.sizes, per_client_cosine, cfg.defense_params
         )
     except DefenseError:
         defense_error = True
@@ -302,10 +288,12 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         # the naive ones, so the threshold reflects what the server would
         # actually have seen in that round
         cf_updates = updates.copy()
-        cf_updates[list(state.attacker_ids)] = np.stack(naive_deltas)
+        cf_updates[state.attacker_ids] = np.stack(naive_deltas)
+        cf_cosines = np.array(per_client_cosine)
+        cf_cosines[state.attacker_ids] = naive_cosines
         try:
             cf_report = defense_mod.apply_defense(
-                cfg.defense, cf_updates, state.sizes, reference, cfg.defense_params
+                cfg.defense, cf_updates, state.sizes, cf_cosines, cfg.defense_params
             )
             naive_accepted = [bool(cf_report.accepted[i]) for i in state.attacker_ids]
         except DefenseError:
@@ -315,15 +303,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         state.params = state.params + report.aggregate
         state.prev_aggregate = report.aggregate
     applied = report.aggregate if not defense_error else np.zeros_like(state.params)
-    if cfg.n_attackers > 0:
-        state.history.append(
-            RoundObservation(
-                n_clients=cfg.n_clients,
-                benign_updates=benign_now,
-                global_delta=applied,
-                own_updates=updates[state.attacker_ids],
-            )
-        )
+    if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
+        state.history.append(benign_now)
     if trace_entry is not None:
         state.attack_trace.append(trace_entry)
 
@@ -361,82 +342,71 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # config <-> flat dotted key/value mapping (shared with the CLI)
 
-_SECTIONS = {"data": DataConfig, "defense": DefenseParams, "grmp": GrmpConfig}
+# flat key prefix -> the ExperimentConfig attribute holding that section
+_SECTIONS = {"data": "data", "defense": "defense_params", "grmp": "grmp"}
 
 
-def _field_key(section: str, name: str) -> str:
-    name = name.rstrip("_")  # lambda_ -> lambda
-    return f"{section}.{name}" if section else name
+def _flat_fields(cfg: ExperimentConfig) -> dict[str, tuple[object, str]]:
+    """Flat key -> (object holding the field, attribute name), for every field."""
+    out = {
+        f.name: (cfg, f.name)
+        for f in dataclasses.fields(cfg)
+        if f.name not in _SECTIONS.values()
+    }
+    for prefix, attr in _SECTIONS.items():
+        obj = getattr(cfg, attr)
+        for f in dataclasses.fields(obj):
+            out[f"{prefix}.{f.name.rstrip('_')}"] = (obj, f.name)  # lambda_ -> lambda
+    return out
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
     flat: dict[str, object] = {}
-    for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name == "data":
-            section, obj = "data", val
-        elif f.name == "defense_params":
-            section, obj = "defense", val
-        elif f.name == "grmp":
-            section, obj = "grmp", val
-        else:
-            flat[_field_key("", f.name)] = val
-            continue
-        for sf in dataclasses.fields(obj):
-            v = getattr(obj, sf.name)
-            if isinstance(v, tuple):
-                v = ",".join(v)
-            flat[_field_key(section, sf.name)] = v
+    for key, (obj, name) in _flat_fields(cfg).items():
+        v = getattr(obj, name)
+        flat[key] = ",".join(v) if isinstance(v, tuple) else v
     return flat
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _coerce(raw: object, target, key: str):
-    if isinstance(raw, bool) or not isinstance(raw, str):
-        # already typed (e.g. loaded from JSON); tuples round-trip as strings
-        if isinstance(target, tuple):
-            raise ValueError(f"{key}: expected comma-separated string")
-        return raw if not isinstance(target, bool) else bool(raw)
-    s = raw.strip()
+    """`raw` as the type of `target`: parsed from text, or checked and
+    converted when it is already typed (loaded from JSON)."""
+    kind = type(target)
     try:
-        if isinstance(target, bool):
-            if s.lower() in ("true", "1", "yes"):
-                return True
-            if s.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
-        if isinstance(target, int):
-            return int(s)
-        if isinstance(target, float):
-            return float(s)
-        if isinstance(target, tuple):
-            return tuple(t for t in s.split(",") if t)
-        return s
-    except ValueError:
-        raise ValueError(f"{key}: expected {type(target).__name__}, got {raw!r}") from None
+        if isinstance(raw, str):
+            s = raw.strip()
+            if kind is bool and s.lower() in _BOOL_WORDS:
+                return _BOOL_WORDS[s.lower()]
+            if kind is tuple:
+                return tuple(t for t in s.split(",") if t)
+            if kind in (str, int, float):
+                return kind(s)
+        elif kind is bool:
+            if raw in (0, 1):
+                return bool(raw)
+        elif kind in (int, float) and type(raw) in (int, float):  # a bool is neither
+            # an int field takes an integral float (12.0) but not 12.5
+            if kind is float or float(raw).is_integer():
+                return kind(raw)
+    except (ValueError, OverflowError):
+        pass
+    want = "comma-separated string" if kind is tuple else kind.__name__
+    raise ValueError(f"{key}: expected {want}, got {raw!r}")
 
 
 def config_from_flat(flat: dict[str, object]) -> ExperimentConfig:
     """Build a config from dotted keys; unknown keys are an error."""
     cfg = ExperimentConfig()
-    known: dict[str, tuple[object, str]] = {}
-    for f in dataclasses.fields(cfg):
-        if f.name in ("data", "defense_params", "grmp"):
-            continue
-        known[f.name] = (cfg, f.name)
-    for section, obj in (("data", cfg.data), ("defense", cfg.defense_params), ("grmp", cfg.grmp)):
-        for sf in dataclasses.fields(obj):
-            known[_field_key(section, sf.name)] = (obj, sf.name)
+    known = _flat_fields(cfg)
     unknown = [k for k in flat if k not in known]
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, raw in flat.items():
         obj, name = known[key]
-        current = getattr(obj, name)
-        if isinstance(current, tuple) and isinstance(raw, str):
-            val = tuple(t for t in raw.split(",") if t)
-        else:
-            val = _coerce(raw, current, key)
-        setattr(obj, name, val)
+        setattr(obj, name, _coerce(raw, getattr(obj, name), key))
     cfg.validate()
     return cfg
 

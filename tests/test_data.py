@@ -121,23 +121,23 @@ def test_synth_corpus_validates():
 def test_partition_disjoint_cover(alpha, n_clients, seed):
     cfg = data.SynthConfig(train_per_class=30, test_per_class=5)
     corpus = data.synth_corpus(cfg, seed=0)
-    plan = data.partition_noniid(corpus, n_clients, alpha, seed)
-    all_idx = np.concatenate(plan.client_indices)
+    parts = data.partition_noniid(corpus, n_clients, alpha, seed)
+    all_idx = np.concatenate(parts)
     assert len(all_idx) == len(corpus.train)
     assert len(np.unique(all_idx)) == len(all_idx)
     assert set(all_idx.tolist()) == set(range(len(corpus.train)))
-    assert all(len(idx) >= 1 for idx in plan.client_indices)
+    assert all(len(idx) >= 1 for idx in parts)
 
 
 def test_partition_skew_increases_at_low_alpha():
     corpus = data.synth_corpus(data.SynthConfig(train_per_class=200, test_per_class=5), 0)
 
     def skew(alpha):
-        plan = data.partition_noniid(corpus, 6, alpha, seed=5)
+        parts = data.partition_noniid(corpus, 6, alpha, seed=5)
         labels = np.array([e.label for e in corpus.train])
         # mean over clients of the max class share
         shares = []
-        for idx in plan.client_indices:
+        for idx in parts:
             counts = np.bincount(labels[idx], minlength=4)
             shares.append(counts.max() / counts.sum())
         return np.mean(shares)

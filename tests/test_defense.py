@@ -15,6 +15,10 @@ def _updates(seed, n=6, d=4):
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
+def _cosines(updates, ref):
+    return np.array([defense.cosine(u, ref) for u in updates])
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -190,9 +194,9 @@ def test_fedavg_bad_weights():
 def test_cosine_filter_threshold_formula():
     u = _updates(6, n=6)
     ref = np.ones(u.shape[1])
-    rep = defense.cosine_threshold_filter(u, ref, lam=1.5)
-    scores = np.array([defense.cosine(x, ref) for x in u])
-    assert np.allclose(rep.scores, scores)
+    scores = _cosines(u, ref)
+    rep = defense.cosine_threshold_filter(u, scores, lam=1.5)
+    assert np.array_equal(rep.scores, scores)
     assert np.isclose(rep.threshold, scores.mean() - 1.5 * scores.std())
     assert np.array_equal(rep.accepted, scores >= rep.threshold)
     assert np.allclose(rep.aggregate, u[rep.accepted].mean(axis=0))
@@ -201,7 +205,7 @@ def test_cosine_filter_threshold_formula():
 def test_cosine_filter_rejects_opposed_update():
     ref = np.array([1.0, 0.0, 0.0])
     u = np.vstack([np.tile(ref, (5, 1)) + 0.01 * _updates(7, n=5, d=3), -10 * ref])
-    rep = defense.cosine_threshold_filter(u, ref, lam=1.5)
+    rep = defense.cosine_threshold_filter(u, _cosines(u, ref), lam=1.5)
     assert not rep.accepted[-1]
     assert rep.accepted[:-1].all()
 
@@ -209,18 +213,20 @@ def test_cosine_filter_rejects_opposed_update():
 def test_cosine_filter_scale_invariant_scores():
     u = _updates(8, n=5)
     ref = np.ones(u.shape[1])
-    r1 = defense.cosine_threshold_filter(u, ref, 1.5)
+    r1 = defense.cosine_threshold_filter(u, _cosines(u, ref), 1.5)
     u2 = u.copy()
     u2[2] *= 42.0
-    r2 = defense.cosine_threshold_filter(u2, ref, 1.5)
+    r2 = defense.cosine_threshold_filter(u2, _cosines(u2, ref), 1.5)
     assert np.isclose(r1.scores[2], r2.scores[2])
+    assert np.array_equal(r1.accepted, r2.accepted)
 
 
 def test_cosine_filter_errors():
     with pytest.raises(defense.DefenseError):
-        defense.cosine_threshold_filter(_updates(9, n=1), np.ones(4), 1.5)
-    with pytest.raises(defense.DefenseError):
-        defense.cosine_threshold_filter(_updates(9, n=3), np.zeros(4), 1.5)
+        defense.cosine_threshold_filter(_updates(9, n=1), np.ones(1), 1.5)
+    with pytest.raises(defense.DefenseError, match="no updates survive"):
+        # a negative lambda puts the threshold above every score
+        defense.cosine_threshold_filter(_updates(9, n=3), np.array([0.1, 0.5, 0.9]), -10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +239,9 @@ def test_apply_defense_permutation_equivariant(name):
     w = np.ones(6)
     params = defense.DefenseParams()
     perm = np.random.default_rng(0).permutation(6)
-    r1 = defense.apply_defense(name, u, w, ref, params)
-    r2 = defense.apply_defense(name, u[perm], w[perm], ref, params)
+    cos = _cosines(u, ref)
+    r1 = defense.apply_defense(name, u, w, cos, params)
+    r2 = defense.apply_defense(name, u[perm], w[perm], cos[perm], params)
     assert np.allclose(r1.aggregate, r2.aggregate, atol=1e-9)
     assert np.array_equal(r1.accepted[perm], r2.accepted)
     assert np.allclose(r1.scores[perm], r2.scores)
@@ -242,5 +249,5 @@ def test_apply_defense_permutation_equivariant(name):
 
 def test_apply_defense_unknown_rule():
     with pytest.raises(defense.DefenseError):
-        defense.apply_defense("madness", _updates(0), np.ones(6), np.ones(4),
+        defense.apply_defense("madness", _updates(0), np.ones(6), np.ones(6),
                               defense.DefenseParams())

@@ -4,7 +4,7 @@ round-tripping, run-directory artifacts."""
 import numpy as np
 import pytest
 
-from fedpoison import defense, model, sim
+from fedpoison import defense, grmp, model, sim
 
 
 def tiny_cfg(**kw):
@@ -94,6 +94,38 @@ def test_naive_counterfactual_only_in_grmp_exploit_rounds():
 
 
 # ---------------------------------------------------------------------------
+# what the attacker's VGAE is fit on
+
+def _spy_fit_vgae(monkeypatch):
+    calls = []
+    real = grmp.fit_vgae
+
+    def spy(graphs, *args, **kwargs):
+        calls.append([len(g.X) for g in graphs])
+        return real(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(grmp, "fit_vgae", spy)
+    return calls
+
+
+@pytest.mark.parametrize("switch, n_graphs", [(1, 1), (2, 1), (3, 2)])
+def test_vgae_fit_once_on_benign_updates_before_the_switch(monkeypatch, switch, n_graphs):
+    # one graph per stealth round; when the attack starts in round 1 the fit
+    # uses that round's benign updates
+    calls = _spy_fit_vgae(monkeypatch)
+    cfg = tiny_cfg(attack="grmp", rounds=3, phase_switch_round=switch)
+    sim.run_experiment(cfg)
+    assert calls == [[cfg.n_clients - cfg.n_attackers] * n_graphs]
+
+
+@pytest.mark.parametrize("attack", ["none", "naive_flip"])
+def test_vgae_not_fit_without_grmp(monkeypatch, attack):
+    calls = _spy_fit_vgae(monkeypatch)
+    sim.run_experiment(tiny_cfg(attack=attack, rounds=3))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # aggregation identity
 
 def test_round_one_fedavg_matches_manual_reconstruction():
@@ -120,7 +152,7 @@ def test_attacker_ids_hold_most_flippable_data():
     cfg = tiny_cfg()
     state = sim._RunState(cfg)
     flippable = [
-        int(np.sum(state.client_data[i][1] != state.client_data_flipped[i][1]))
+        int(np.sum(state.client_data[i][1] != state.client_y_flipped[i]))
         for i in range(cfg.n_clients)
     ]
     others = [flippable[i] for i in range(cfg.n_clients) if i not in state.attacker_ids]
@@ -178,8 +210,24 @@ def test_config_from_flat_unknown_key():
 
 
 def test_config_from_flat_bad_type():
-    with pytest.raises(ValueError, match="rounds"):
-        sim.config_from_flat({"rounds": "many"})
+    cases = [
+        ({"rounds": "many"}, "rounds: expected int"),
+        # JSON-typed values get the same check as text
+        ({"rounds": 12.5, "phase_switch_round": 11}, "rounds: expected int"),
+        ({"rounds": True, "phase_switch_round": 1}, "rounds: expected int"),
+        ({"lr": True}, "lr: expected float"),
+        ({"grmp.auto_floor": 2}, "grmp.auto_floor: expected bool"),
+        ({"data.triggers": ["stock"]}, "data.triggers: expected comma-separated string"),
+    ]
+    for flat, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sim.config_from_flat(flat)
+
+
+def test_config_from_flat_converts_json_numbers():
+    cfg = sim.config_from_flat({"lr": 1, "rounds": 12.0, "phase_switch_round": 11})
+    assert cfg.lr == 1.0 and type(cfg.lr) is float
+    assert cfg.rounds == 12 and type(cfg.rounds) is int
 
 
 def test_config_from_flat_empty_is_defaults():
