@@ -121,7 +121,8 @@ def cosine_threshold_filter(
 ) -> AggregationReport:
     """Accept updates whose cosine to the reference clears mean - lam*std.
 
-    `cosines` holds each update's cosine to the server's reference direction.
+    `cosines` holds each update's cosine to the server's reference direction;
+    the caller rejects a zero-norm reference, under which every cosine is -1.
     Std is the population standard deviation. Accepted updates are averaged
     with equal weights.
     """

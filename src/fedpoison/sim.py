@@ -266,11 +266,16 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         state.prev_aggregate if state.prev_aggregate is not None else updates.mean(axis=0)
     )
     per_client_cosine = [defense_mod.cosine(u, reference) for u in updates]
+
+    def defend(rows: np.ndarray, cosines) -> defense_mod.AggregationReport:
+        # a zero reference gives the cosine filter no direction to filter by
+        if cfg.defense == "cosine_filter" and np.linalg.norm(reference) == 0.0:
+            raise DefenseError("reference direction has zero norm")
+        return defense_mod.apply_defense(cfg.defense, rows, state.sizes, cosines, cfg.defense_params)
+
     defense_error = False
     try:
-        report = defense_mod.apply_defense(
-            cfg.defense, updates, state.sizes, per_client_cosine, cfg.defense_params
-        )
+        report = defend(updates, per_client_cosine)
     except DefenseError:
         defense_error = True
         report = defense_mod.AggregationReport(
@@ -292,9 +297,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         cf_cosines = np.array(per_client_cosine)
         cf_cosines[state.attacker_ids] = naive_cosines
         try:
-            cf_report = defense_mod.apply_defense(
-                cfg.defense, cf_updates, state.sizes, cf_cosines, cfg.defense_params
-            )
+            cf_report = defend(cf_updates, cf_cosines)
             naive_accepted = [bool(cf_report.accepted[i]) for i in state.attacker_ids]
         except DefenseError:
             naive_accepted = [False for _ in state.attacker_ids]

@@ -145,6 +145,19 @@ def test_round_one_fedavg_matches_manual_reconstruction():
     assert np.allclose(res.final_params, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("rule, error", [("cosine_filter", True), ("fedavg", False)])
+def test_zero_reference_is_a_defense_error_under_the_cosine_filter(rule, error):
+    # lr=0 makes every update zero, so the round-one reference is zero and,
+    # with no round ever applied, so is every later one
+    res = sim.run_experiment(tiny_cfg(attack="naive_flip", lr=0.0, defense=rule))
+    for rec in res.records:
+        assert rec.defense_error is error
+        assert rec.threshold is None
+        assert rec.aggregate_norm == 0.0
+        assert rec.per_client_cosine == [-1.0] * len(rec.accepted)
+        assert rec.accepted == [not error] * len(rec.accepted)
+
+
 # ---------------------------------------------------------------------------
 # attacker placement
 
