@@ -51,11 +51,19 @@ SCENARIOS = {
 def _read_flat_file(path: str) -> dict[str, object]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    if text.lstrip().startswith(("{", "[")):
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: JSON config must be an object")
+        return loaded
     flat: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

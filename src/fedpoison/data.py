@@ -7,7 +7,6 @@ hashed bag-of-words) so that every step has a one-line independent oracle.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,18 +214,3 @@ def asr_eval_subset(corpus: Corpus, triggers: Iterable[str], src_class: int) -> 
         raise ValueError("ASR subset empty")
     return subset
 
-
-def dump_jsonl(examples: Iterable[Example], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({"tokens": list(ex.tokens), "label": ex.label}) + "\n")
-
-
-def load_jsonl(path: str) -> list[Example]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                out.append(Example(tokens=tuple(d["tokens"]), label=int(d["label"])))
-    return out

@@ -64,14 +64,16 @@ def krum(updates: np.ndarray, f: int) -> tuple[int, np.ndarray]:
     return int(np.argmin(scores)), scores
 
 
-def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray]:
+def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The m updates with the lowest krum scores (ties to the lowest index),
+    their mean, and every update's score."""
     updates = np.asarray(updates, dtype=float)
     scores = krum_scores(updates, f)
     n = len(updates)
     if not 1 <= m <= n - f - 2:
         raise DefenseError(f"multi-krum needs 1 <= m <= n-f-2 (got m={m}, n={n}, f={f})")
     selected = sorted(np.argsort(scores, kind="stable")[:m].tolist())
-    return selected, updates[selected].mean(axis=0)
+    return selected, updates[selected].mean(axis=0), scores
 
 
 def trimmed_mean(updates: np.ndarray, beta: int) -> np.ndarray:
@@ -116,6 +118,12 @@ def geometric_median(
     return x, False
 
 
+def cosine_threshold(cosines: np.ndarray, lam: float) -> float:
+    """The cosine filter's adaptive threshold: mean - lam * population std."""
+    s = np.asarray(cosines, dtype=float)
+    return float(s.mean() - lam * s.std())
+
+
 def cosine_threshold_filter(
     updates: np.ndarray, cosines: np.ndarray, lam: float
 ) -> AggregationReport:
@@ -130,7 +138,7 @@ def cosine_threshold_filter(
     if len(updates) < 2:
         raise DefenseError("cosine filter needs n >= 2")
     scores = np.asarray(cosines, dtype=float)
-    tau = float(scores.mean() - lam * scores.std())
+    tau = cosine_threshold(scores, lam)
     accepted = scores >= tau
     if not accepted.any():
         raise DefenseError("no updates survive filter")
@@ -190,10 +198,10 @@ def apply_defense(
         mask[idx] = True
         return AggregationReport(updates[idx].copy(), mask, scores, rule=name)
     if name == "multi_krum":
-        sel, agg = multi_krum(updates, params.f, params.m)
+        sel, agg, scores = multi_krum(updates, params.f, params.m)
         mask = np.zeros(n, bool)
         mask[sel] = True
-        return AggregationReport(agg, mask, krum_scores(updates, params.f), rule=name)
+        return AggregationReport(agg, mask, scores, rule=name)
     if name == "trimmed_mean":
         agg = trimmed_mean(updates, params.beta)
         return AggregationReport(agg, np.ones(n, bool), cos_scores, rule=name)

@@ -34,10 +34,6 @@ class VgaeParams:
     W_logvar: np.ndarray  # h x k
 
     @property
-    def hidden(self) -> int:
-        return self.W0.shape[1]
-
-    @property
     def latent(self) -> int:
         return self.W_mu.shape[1]
 
@@ -53,9 +49,7 @@ class SpectralDecomposition:
 @dataclass
 class GrmpConfig:
     tau_edge: float = 0.3
-    stealth_floor: float = 0.3
-    auto_floor: bool = True  # estimate floor as tau_estimate + stealth_margin
-    stealth_margin: float = 0.05
+    stealth_margin: float = 0.05  # added to the estimated server threshold
     gamma_blend: float = 1.0
     poison_epochs: int = 10  # attacker-side epochs distilling the poison direction
     dual_steps: int = 100
@@ -379,11 +373,13 @@ def craft_with_trace(
     benign_updates: np.ndarray,
     raw_poison: np.ndarray,
     reference: np.ndarray,
+    stealth_floor: float,
     cfg: GrmpConfig,
     params: VgaeParams,
 ) -> tuple[np.ndarray, dict]:
     """Full pipeline: graph -> dual search -> spectral synthesis -> blend ->
-    stealth projection. Returns the flat malicious delta plus a trace dict."""
+    stealth projection onto cosine(., reference) >= stealth_floor. Returns the
+    flat malicious delta plus a trace dict."""
     benign_updates = np.asarray(benign_updates, dtype=float)
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")
@@ -392,12 +388,12 @@ def craft_with_trace(
     mu0, _ = vgae_encode(params, g)
     recon_initial = recon_bce(vgae_decode(mu0), g.A)
     _, lambda_dual, A_hat, A_adv = lagrange_dual_search(
-        params, g, reference, cfg.stealth_floor, cfg.dual_steps, cfg.dual_step_size
+        params, g, reference, stealth_floor, cfg.dual_steps, cfg.dual_step_size
     )
     X_syn = gsp_synthesize(decomp, A_adv)
     candidate = X_syn.mean(axis=0) + cfg.gamma_blend * raw_poison
     norm_cap = float(np.max(np.linalg.norm(benign_updates, axis=1)))
-    final = project_stealth(candidate, reference, cfg.stealth_floor, norm_cap)
+    final = project_stealth(candidate, reference, stealth_floor, norm_cap)
     trace = {
         "recon_bce_initial": recon_initial,
         "recon_bce_final": recon_bce(A_hat, g.A),

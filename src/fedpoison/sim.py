@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,6 +74,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown attack {self.attack!r}")
         if self.data.src_class == self.data.dst_class:
             raise ValueError("src_class and dst_class must differ")
+        p, n = self.defense_params, self.n_clients
+        # written so that a NaN fails too
+        for key, ok, want in (
+            ("f", p.f >= 0, ">= 0"),
+            ("m", p.m >= 1, ">= 1"),
+            ("beta", p.beta >= 0, ">= 0"),
+            ("lambda", p.lambda_ >= 0, ">= 0"),
+            ("gm_tol", p.gm_tol > 0, "> 0"),
+            ("gm_max_iter", p.gm_max_iter >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"defense.{key} must be {want}")
+        # parameters with which the configured rule can aggregate no round
+        if self.defense in ("krum", "multi_krum") and n < p.f + 3:
+            raise ValueError(f"{self.defense} needs n_clients >= defense.f + 3 (got {n}, f={p.f})")
+        if self.defense == "multi_krum" and p.m > n - p.f - 2:
+            raise ValueError(f"multi_krum needs defense.m <= n_clients - defense.f - 2 (got m={p.m})")
+        if self.defense == "trimmed_mean" and n <= 2 * p.beta:
+            raise ValueError(f"trimmed_mean needs n_clients > 2 * defense.beta (got {n}, beta={p.beta})")
 
 
 @dataclass
@@ -86,8 +105,6 @@ class RoundRecord:
     accepted: list[bool]
     aggregate_norm: float
     defense_error: bool = False
-    naive_cosines: Optional[list[float]] = None
-    naive_accepted: Optional[list[bool]] = None
 
 
 @dataclass
@@ -181,17 +198,11 @@ def _local_delta(state: _RunState, X, y, seed: int) -> np.ndarray:
     )
 
 
-def _naive_delta(state: _RunState, round_idx: int, i: int) -> np.ndarray:
-    """Attacker i's honest local training on its label-flipped data."""
-    seed = _child_seed(state.cfg.seed, "train", round_idx, i)
-    return _local_delta(state, state.client_data[i][0], state.client_y_flipped[i], seed)
-
-
 def _estimate_floor(benign_updates: np.ndarray, reference: np.ndarray, cfg: ExperimentConfig) -> float:
     """Attacker-side threshold estimate: the defense's adaptive rule applied to
     the observed benign cosines, plus a safety margin."""
-    s = np.array([defense_mod.cosine(u, reference) for u in benign_updates])
-    floor = float(s.mean() - cfg.defense_params.lambda_ * s.std()) + cfg.grmp.stealth_margin
+    s = [defense_mod.cosine(u, reference) for u in benign_updates]
+    floor = defense_mod.cosine_threshold(s, cfg.defense_params.lambda_) + cfg.grmp.stealth_margin
     return float(np.clip(floor, -1.0, 1.0))
 
 
@@ -220,46 +231,46 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         and cfg.n_attackers > 0
         and round_idx >= cfg.phase_switch_round
     )
-    deltas = [
-        _local_delta(state, X, y, _child_seed(cfg.seed, "train", round_idx, i))
-        for i, (X, y) in enumerate(state.client_data)
-    ]
-    benign_now = np.stack([deltas[i] for i in range(cfg.n_clients) if i not in state.attacker_ids]) \
-        if cfg.n_attackers > 0 else np.stack(deltas)
+    # one submission per client: in an exploit round a naive_flip attacker
+    # trains on its flipped labels and a grmp attacker's row is crafted below
+    deltas: list[Optional[np.ndarray]] = []
+    for i, (X, y) in enumerate(state.client_data):
+        if exploit and i in state.attacker_ids:
+            if cfg.attack == "grmp":
+                deltas.append(None)
+                continue
+            y = state.client_y_flipped[i]
+        deltas.append(_local_delta(state, X, y, _child_seed(cfg.seed, "train", round_idx, i)))
+    benign_now = np.stack([d for i, d in enumerate(deltas) if i not in state.attacker_ids])
 
     trace_entry = None
-    naive_deltas = None
-    if exploit:
-        if cfg.attack == "naive_flip":
-            for i in state.attacker_ids:
-                deltas[i] = _naive_delta(state, round_idx, i)
-        else:  # grmp
-            _fit_vgae_if_needed(state, benign_now)
-            reference = (
-                state.prev_aggregate
-                if state.prev_aggregate is not None
-                else benign_now.mean(axis=0)
-            )
-            pseed = _child_seed(cfg.seed, "poison", round_idx)
-            ptrain = lambda X, y: model_mod.local_train(
-                state.params, X, y, state.class_count, cfg.grmp.poison_epochs,
-                cfg.lr, cfg.batch_size, pseed, cfg.weight_decay,
-            )
-            raw_poison = ptrain(state.X_att, state.y_att_flip) - ptrain(state.X_att, state.y_att)
-            gcfg = cfg.grmp
-            if gcfg.auto_floor:
-                gcfg = replace(gcfg, stealth_floor=_estimate_floor(benign_now, reference, cfg))
-            crafted, trace = grmp_mod.craft_with_trace(
-                benign_now, raw_poison, reference, gcfg, state.vgae_params
-            )
-            for i in state.attacker_ids:
-                rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
-                noise = rng.standard_normal(crafted.size)
-                noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
-                deltas[i] = crafted + noise
-            trace_entry = {"round": round_idx, **trace}
-            # paired counterfactual: what the naive attacker would have sent
-            naive_deltas = [_naive_delta(state, round_idx, i) for i in state.attacker_ids]
+    if exploit and cfg.attack == "grmp":
+        _fit_vgae_if_needed(state, benign_now)
+        reference = (
+            state.prev_aggregate
+            if state.prev_aggregate is not None
+            else benign_now.mean(axis=0)
+        )
+        pseed = _child_seed(cfg.seed, "poison", round_idx)
+        ptrain = lambda X, y: model_mod.local_train(
+            state.params, X, y, state.class_count, cfg.grmp.poison_epochs,
+            cfg.lr, cfg.batch_size, pseed, cfg.weight_decay,
+        )
+        raw_poison = ptrain(state.X_att, state.y_att_flip) - ptrain(state.X_att, state.y_att)
+        crafted, trace = grmp_mod.craft_with_trace(
+            benign_now,
+            raw_poison,
+            reference,
+            _estimate_floor(benign_now, reference, cfg),
+            cfg.grmp,
+            state.vgae_params,
+        )
+        for i in state.attacker_ids:
+            rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
+            noise = rng.standard_normal(crafted.size)
+            noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
+            deltas[i] = crafted + noise
+        trace_entry = {"round": round_idx, **trace}
 
     updates = np.stack(deltas)
     reference = (
@@ -267,15 +278,14 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     )
     per_client_cosine = [defense_mod.cosine(u, reference) for u in updates]
 
-    def defend(rows: np.ndarray, cosines) -> defense_mod.AggregationReport:
+    defense_error = False
+    try:
         # a zero reference gives the cosine filter no direction to filter by
         if cfg.defense == "cosine_filter" and np.linalg.norm(reference) == 0.0:
             raise DefenseError("reference direction has zero norm")
-        return defense_mod.apply_defense(cfg.defense, rows, state.sizes, cosines, cfg.defense_params)
-
-    defense_error = False
-    try:
-        report = defend(updates, per_client_cosine)
+        report = defense_mod.apply_defense(
+            cfg.defense, updates, state.sizes, per_client_cosine, cfg.defense_params
+        )
     except DefenseError:
         defense_error = True
         report = defense_mod.AggregationReport(
@@ -286,26 +296,9 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             rule=cfg.defense,
         )
 
-    naive_cosines = naive_accepted = None
-    if naive_deltas is not None:
-        naive_cosines = [defense_mod.cosine(u, reference) for u in naive_deltas]
-        # counterfactual: rerun the filter with the crafted rows swapped for
-        # the naive ones, so the threshold reflects what the server would
-        # actually have seen in that round
-        cf_updates = updates.copy()
-        cf_updates[state.attacker_ids] = np.stack(naive_deltas)
-        cf_cosines = np.array(per_client_cosine)
-        cf_cosines[state.attacker_ids] = naive_cosines
-        try:
-            cf_report = defend(cf_updates, cf_cosines)
-            naive_accepted = [bool(cf_report.accepted[i]) for i in state.attacker_ids]
-        except DefenseError:
-            naive_accepted = [False for _ in state.attacker_ids]
-
     if not defense_error:
         state.params = state.params + report.aggregate
         state.prev_aggregate = report.aggregate
-    applied = report.aggregate if not defense_error else np.zeros_like(state.params)
     if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
         state.history.append(benign_now)
     if trace_entry is not None:
@@ -318,10 +311,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         per_client_cosine=per_client_cosine,
         threshold=report.threshold,
         accepted=list(map(bool, report.accepted)),
-        aggregate_norm=float(np.linalg.norm(applied)),
+        aggregate_norm=float(np.linalg.norm(report.aggregate)),
         defense_error=defense_error,
-        naive_cosines=naive_cosines,
-        naive_accepted=naive_accepted,
     )
 
 
@@ -371,9 +362,6 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
     return flat
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _coerce(raw: object, target, key: str):
     """`raw` as the type of `target`: parsed from text, or checked and
     converted when it is already typed (loaded from JSON)."""
@@ -381,15 +369,10 @@ def _coerce(raw: object, target, key: str):
     try:
         if isinstance(raw, str):
             s = raw.strip()
-            if kind is bool and s.lower() in _BOOL_WORDS:
-                return _BOOL_WORDS[s.lower()]
             if kind is tuple:
                 return tuple(t for t in s.split(",") if t)
             if kind in (str, int, float):
                 return kind(s)
-        elif kind is bool:
-            if raw in (0, 1):
-                return bool(raw)
         elif kind in (int, float) and type(raw) in (int, float):  # a bool is neither
             # an int field takes an integral float (12.0) but not 12.5
             if kind is float or float(raw).is_integer():
@@ -420,8 +403,6 @@ def config_from_flat(flat: dict[str, object]) -> ExperimentConfig:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, float):
         return repr(x)
     return str(x)

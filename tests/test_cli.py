@@ -85,6 +85,22 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     p.write_text("defense=firewall\n")
     assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert "config error" in capsys.readouterr().err
+    # a malformed file names itself
+    for text, message in [
+        (b'{"rounds": 3,', "malformed JSON"),
+        (b'["rounds=3"]', "JSON config must be an object"),
+        (b"rounds = 3\xff\n", "not UTF-8 text"),
+    ]:
+        p = tmp_path / "bad.json"
+        p.write_bytes(text)
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(p) in err and message in err
+    # defense parameters with which no round can run fail before round one
+    cfg_path = _write_tiny(tmp_path, "defense = krum\ndefense.f = 5\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "krum needs n_clients >= defense.f + 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_runtime_error_exit_code_2(tmp_path, capsys):

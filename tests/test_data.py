@@ -203,16 +203,6 @@ def test_asr_subset_empty_error():
 
 
 # ---------------------------------------------------------------------------
-# jsonl round trip
-
-def test_jsonl_round_trip(tmp_path):
-    c = data.synth_corpus(data.SynthConfig(train_per_class=5, test_per_class=2), 1)
-    path = tmp_path / "examples.jsonl"
-    data.dump_jsonl(c.train, str(path))
-    assert data.load_jsonl(str(path)) == c.train
-
-
-# ---------------------------------------------------------------------------
 # agnews csv loader
 
 def test_load_agnews_csv(tmp_path):

@@ -105,10 +105,11 @@ def test_krum_needs_enough_clients():
 
 def test_multi_krum_selects_m_best():
     u = _updates(1, n=7)
-    sel, agg = defense.multi_krum(u, f=1, m=3)
+    sel, agg, scores = defense.multi_krum(u, f=1, m=3)
     oracle = krum_oracle(u, 1)
     assert sel == sorted(np.argsort(oracle, kind="stable")[:3].tolist())
     assert np.allclose(agg, u[sel].mean(axis=0))
+    assert np.allclose(scores, oracle)
 
 
 def test_multi_krum_m_bounds():

@@ -346,13 +346,13 @@ def test_craft_postconditions_and_trace():
     benign = rng.standard_normal((5, 12))
     ref = benign.mean(axis=0)
     poison = rng.standard_normal(12)
-    cfg = grmp.GrmpConfig(stealth_floor=0.4, auto_floor=False, dual_steps=30,
-                          vgae_epochs=40, hidden=6, latent=3)
+    floor = 0.4
+    cfg = grmp.GrmpConfig(dual_steps=30, vgae_epochs=40, hidden=6, latent=3)
     g = grmp.build_update_graph(benign, cfg.tau_edge)
     params = grmp.fit_vgae([g], cfg.hidden, cfg.latent, cfg.vgae_epochs, cfg.vgae_lr, 0)
-    final, trace = grmp.craft_with_trace(benign, poison, ref, cfg, params)
+    final, trace = grmp.craft_with_trace(benign, poison, ref, floor, cfg, params)
     assert final.shape == (12,)
-    assert cosine(final, ref) >= cfg.stealth_floor - 1e-9
+    assert cosine(final, ref) >= floor - 1e-9
     assert np.linalg.norm(final) <= np.linalg.norm(benign, axis=1).max() + 1e-9
     for key in ("recon_bce_initial", "recon_bce_final", "lambda_dual",
                 "stealth_cosine", "edges_flipped"):
@@ -367,11 +367,10 @@ def test_craft_poison_direction_survives():
     benign = rng.standard_normal((5, 12))
     ref = benign.mean(axis=0)
     poison = rng.standard_normal(12)
-    cfg = grmp.GrmpConfig(stealth_floor=0.1, auto_floor=False, gamma_blend=4.0,
-                          dual_steps=20, vgae_epochs=30, hidden=6, latent=3)
+    cfg = grmp.GrmpConfig(gamma_blend=4.0, dual_steps=20, vgae_epochs=30, hidden=6, latent=3)
     g = grmp.build_update_graph(benign, cfg.tau_edge)
     params = grmp.fit_vgae([g], 6, 3, 30, cfg.vgae_lr, 0)
-    final, _ = grmp.craft_with_trace(benign, poison, ref, cfg, params)
+    final, _ = grmp.craft_with_trace(benign, poison, ref, 0.1, cfg, params)
     assert final @ poison > 0
 
 
@@ -380,5 +379,5 @@ def test_craft_rejects_nonfinite_poison():
     cfg = grmp.GrmpConfig()
     with pytest.raises(ValueError):
         grmp.craft_with_trace(benign, np.array([np.nan] * 6), benign.mean(axis=0),
-                              cfg, _params(0))
+                              0.3, cfg, _params(0))
 

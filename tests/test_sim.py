@@ -41,6 +41,39 @@ def test_config_validate_errors():
     cfg.data.dst_class = cfg.data.src_class
     with pytest.raises(ValueError):
         cfg.validate()
+    # defense parameters with which no round can run (n_clients=6)
+    for defense_name, params, message in [
+        ("fedavg", {"f": -1}, "defense.f must be >= 0"),
+        ("fedavg", {"m": 0}, "defense.m must be >= 1"),
+        ("fedavg", {"beta": -1}, "defense.beta must be >= 0"),
+        ("fedavg", {"lambda_": -5.0}, "defense.lambda must be >= 0"),
+        ("fedavg", {"lambda_": float("nan")}, "defense.lambda must be >= 0"),
+        ("fedavg", {"gm_tol": 0.0}, "defense.gm_tol must be > 0"),
+        ("fedavg", {"gm_max_iter": 0}, "defense.gm_max_iter must be >= 1"),
+        ("krum", {"f": 4}, r"krum needs n_clients >= defense.f \+ 3"),
+        ("multi_krum", {"f": 4}, r"multi_krum needs n_clients >= defense.f \+ 3"),
+        ("multi_krum", {"f": 1, "m": 4}, "multi_krum needs defense.m <= n_clients"),
+        ("trimmed_mean", {"beta": 3}, "trimmed_mean needs n_clients > 2"),
+    ]:
+        cfg = tiny_cfg(defense=defense_name)
+        for k, v in params.items():
+            setattr(cfg.defense_params, k, v)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
+
+def test_config_validate_checks_rule_minimums_only_for_the_configured_rule():
+    # at the rules' minimums for n=6, and another rule's impossible value
+    for defense_name, params in [
+        ("krum", {"f": 3}),
+        ("multi_krum", {"f": 1, "m": 3}),
+        ("trimmed_mean", {"beta": 2}),
+        ("cosine_filter", {"f": 5, "m": 9, "beta": 3}),
+    ]:
+        cfg = tiny_cfg(defense=defense_name)
+        for k, v in params.items():
+            setattr(cfg.defense_params, k, v)
+        cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +115,34 @@ def test_stealth_rounds_match_clean_run():
     assert [t["round"] for t in poisoned.attack_trace] == [3, 4]
 
 
-def test_naive_counterfactual_only_in_grmp_exploit_rounds():
-    res = sim.run_experiment(tiny_cfg(attack="grmp"))
-    for rec in res.records:
-        if rec.round >= 2:
-            assert rec.naive_accepted is not None
-            assert len(rec.naive_accepted) == 2
-            assert len(rec.naive_cosines) == 2
-        else:
-            assert rec.naive_accepted is None
+# ---------------------------------------------------------------------------
+# one submission per client per round
+
+@pytest.mark.parametrize("attack, exploit_calls", [
+    ("none", {"client": 6}),
+    ("naive_flip", {"client": 6}),
+    # the two grmp attackers are not trained: their row is crafted from the
+    # poison direction, distilled by two calls on their pooled data
+    ("grmp", {"client": 4, "poison": 2}),
+])
+def test_local_train_calls_per_round(monkeypatch, attack, exploit_calls):
+    cfg = tiny_cfg(attack=attack)  # 3 rounds, 2 of 6 clients attack from round 2
+    calls = []
+    real_train, real_round = model.local_train, sim.run_round
+
+    def spy_train(global_params, X, y, class_count, epochs, *args, **kwargs):
+        kind = "poison" if epochs == cfg.grmp.poison_epochs else "client"
+        calls[-1][kind] = calls[-1].get(kind, 0) + 1
+        return real_train(global_params, X, y, class_count, epochs, *args, **kwargs)
+
+    def spy_round(state, round_idx):
+        calls.append({})
+        return real_round(state, round_idx)
+
+    monkeypatch.setattr(model, "local_train", spy_train)
+    monkeypatch.setattr(sim, "run_round", spy_round)
+    sim.run_experiment(cfg)
+    assert calls == [{"client": 6}, exploit_calls, exploit_calls]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +211,38 @@ def test_zero_reference_is_a_defense_error_under_the_cosine_filter(rule, error):
 
 
 # ---------------------------------------------------------------------------
+# AG News input
+
+def _write_agnews_csv(path, per_class, seed):
+    rng = np.random.default_rng(seed)
+    rows = ['"Class Index","Title","Description"']
+    for cls in range(1, 5):
+        for j in range(per_class):
+            words = " ".join(f"w{cls}x{int(k)}" for k in rng.integers(0, 8, size=6))
+            # business (class 3) rows carry a trigger half the time
+            trigger = " stock" if cls == 3 and j % 2 == 0 else ""
+            rows.append(f'"{cls}","title {cls}{trigger}","{words}"')
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_agnews_source_runs(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_agnews_csv(train, per_class=15, seed=0)
+    _write_agnews_csv(test, per_class=4, seed=1)
+    cfg = tiny_cfg(attack="naive_flip", rounds=2)
+    cfg.data.source = "agnews"
+    cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
+    res = sim.run_experiment(cfg)
+    assert [r.round for r in res.records] == [1, 2]
+    assert sim._RunState(cfg).sizes.sum() == 4 * 15
+    assert np.all(np.isfinite(res.final_params))
+    assert np.linalg.norm(res.final_params) > 0
+    for rec in res.records:
+        assert 0.0 <= rec.accuracy <= 1.0 and 0.0 <= rec.asr <= 1.0
+        assert not rec.defense_error
+
+
+# ---------------------------------------------------------------------------
 # attacker placement
 
 def test_attacker_ids_hold_most_flippable_data():
@@ -210,10 +294,9 @@ def test_config_flat_round_trip():
 def test_config_from_flat_coerces_strings():
     cfg = sim.config_from_flat({
         "rounds": "7", "phase_switch_round": "8", "lr": "0.25",
-        "grmp.auto_floor": "false", "data.triggers": "a,b",
+        "data.triggers": "a,b",
     })
     assert cfg.rounds == 7 and cfg.lr == 0.25
-    assert cfg.grmp.auto_floor is False
     assert cfg.data.triggers == ("a", "b")
 
 
@@ -229,7 +312,6 @@ def test_config_from_flat_bad_type():
         ({"rounds": 12.5, "phase_switch_round": 11}, "rounds: expected int"),
         ({"rounds": True, "phase_switch_round": 1}, "rounds: expected int"),
         ({"lr": True}, "lr: expected float"),
-        ({"grmp.auto_floor": 2}, "grmp.auto_floor: expected bool"),
         ({"data.triggers": ["stock"]}, "data.triggers: expected comma-separated string"),
     ]
     for flat, message in cases:
