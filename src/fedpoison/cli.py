@@ -84,7 +84,7 @@ def parse_config(path: str | None, overrides: dict[str, object] | None = None) -
     try:
         return sim.config_from_flat(flat)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def run_to_dir(cfg: sim.ExperimentConfig, out_dir: str) -> sim.ExperimentResult:

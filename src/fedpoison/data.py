@@ -41,11 +41,19 @@ class Corpus:
 
 
 @dataclass
-class SynthConfig:
+class DataConfig:
+    source: str = "synth"  # "synth" or "agnews"
     train_per_class: int = 500
     test_per_class: int = 62
     vocab_per_class: int = 30
     trigger_rate: float = 0.2
+    alpha: float = 0.5
+    hash_dim: int = 1024
+    triggers: tuple[str, ...] = DEFAULT_TRIGGERS
+    src_class: int = 2  # business
+    dst_class: int = 1  # sports
+    agnews_train: str = ""
+    agnews_test: str = ""
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -82,7 +90,7 @@ def load_agnews_csv(train_path: str, test_path: str) -> Corpus:
     return Corpus(train=_read_agnews_split(train_path), test=_read_agnews_split(test_path))
 
 
-def _synth_example(rng: np.random.Generator, label: int, cfg: SynthConfig) -> Example:
+def _synth_example(rng: np.random.Generator, label: int, cfg: DataConfig) -> Example:
     n_tok = int(rng.integers(8, 21))
     n_noise = 6 * cfg.vocab_per_class
     toks = []
@@ -91,17 +99,17 @@ def _synth_example(rng: np.random.Generator, label: int, cfg: SynthConfig) -> Ex
             toks.append(f"{CLASS_NAMES[label]}kw{int(rng.integers(cfg.vocab_per_class))}")
         else:
             toks.append(f"noise{int(rng.integers(n_noise))}")
-    if label == 2 and rng.random() < cfg.trigger_rate:
+    if label == cfg.src_class and rng.random() < cfg.trigger_rate:
         for _ in range(int(rng.integers(4, 9))):
             pos = int(rng.integers(len(toks) + 1))
-            toks.insert(pos, DEFAULT_TRIGGERS[int(rng.integers(len(DEFAULT_TRIGGERS)))])
+            toks.insert(pos, cfg.triggers[int(rng.integers(len(cfg.triggers)))])
     return Example(tokens=tuple(toks), label=label)
 
 
-def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
+def synth_corpus(cfg: DataConfig, seed: int) -> Corpus:
     """Generate a balanced 4-class corpus from per-class keyword pools.
 
-    Business-class examples carry one or more financial trigger keywords with
+    Examples of cfg.src_class carry one or more of cfg.triggers with
     probability cfg.trigger_rate; other classes never contain triggers.
     Pure function of (cfg, seed).
     """

@@ -48,12 +48,12 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     n = len(updates)
     if n < f + 3:
         raise DefenseError(f"krum needs n >= f+3 (got n={n}, f={f})")
-    d2 = np.sum((updates[:, None, :] - updates[None, :, :]) ** 2, axis=2)
     k = n - f - 2
     scores = np.empty(n)
     for i in range(n):
-        others = np.delete(d2[i], i)
-        scores[i] = np.sort(others)[:k].sum()
+        # one row of squared distances at a time: O(n*d) memory, not O(n*n*d)
+        d2 = np.sum((updates - updates[i]) ** 2, axis=1)
+        scores[i] = np.sort(np.delete(d2, i))[:k].sum()
     return scores
 
 

@@ -245,7 +245,7 @@ def lagrange_dual_search(
     stealth_floor: float,
     steps: int,
     step_size: float,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Dual-ascent search for an adversarial adjacency.
 
     Primal: gradient ascent on the reconstruction BCE of the decoded adjacency
@@ -256,10 +256,12 @@ def lagrange_dual_search(
     Z, so the pull-back toward the benign latent serves as the constraint
     subgradient.
 
-    Returns (Z, lambda_dual, A_hat, A_adv): the best iterate that kept the
-    cosine within 0.05 of the floor (falling back to the last iterate if none
-    did), the final multiplier, the iterate's decoded edge probabilities and
-    their binarized adjacency.
+    Returns (Z, lambda_dual, A_hat, A_adv, X_syn, recon, recon_initial): the
+    best iterate that kept the cosine within 0.05 of the floor (falling back
+    to the last iterate if none did), the final multiplier, the iterate's
+    decoded edge probabilities, their binarized adjacency, the benign rows
+    synthesized in that adjacency's Laplacian basis and the iterate's
+    reconstruction BCE, and the BCE of step 0 (the encoder mean).
     """
     if not -1.0 <= stealth_floor <= 1.0:
         raise ValueError("stealth_floor must lie in [-1, 1]")
@@ -267,23 +269,25 @@ def lagrange_dual_search(
         raise ValueError("steps must be >= 1")
     mu0, _ = vgae_encode(params, g)
     decomp = gsp_decompose(g)
-    Z = mu0.copy()
-    lam = 0.0
-    best: Optional[tuple[float, np.ndarray]] = None
 
-    def evaluate(Zc: np.ndarray) -> tuple[float, float, np.ndarray]:
-        A_hat = vgae_decode(Zc)
+    def evaluate(Z: np.ndarray) -> tuple:
+        A_hat = vgae_decode(Z)
         A_adv = threshold_adjacency(A_hat)
-        X_syn = gsp_synthesize(decomp, A_adv)
-        c = cosine(X_syn.mean(axis=0), reference)
-        return recon_bce(A_hat, g.A), c, A_hat
+        return Z, A_hat, A_adv, gsp_synthesize(decomp, A_adv), recon_bce(A_hat, g.A)
 
+    Z = mu0
+    lam = 0.0
+    best: Optional[tuple] = None
     for t in range(steps):
-        recon, c, A_hat = evaluate(Z)
+        it = evaluate(Z)
+        _, A_hat, _, X_syn, recon = it
+        c = cosine(X_syn.mean(axis=0), reference)
         if not (np.isfinite(recon) and np.isfinite(c)):
             raise FloatingPointError(f"non-finite dual objective at step {t}")
-        if c >= stealth_floor - 0.05 and (best is None or recon > best[0]):
-            best = (recon, Z.copy())
+        if t == 0:
+            recon_initial = recon
+        if c >= stealth_floor - 0.05 and (best is None or recon > best[4]):
+            best = it
         grad = _recon_grad_wrt_Z(A_hat, g.A, Z)
         viol = max(0.0, stealth_floor - c)
         if viol > 0.0 and lam > 0.0:
@@ -294,9 +298,8 @@ def lagrange_dual_search(
         Z = Z + step_size * grad
         lam = max(0.0, lam + step_size * (stealth_floor - c))
 
-    Z_final = best[1] if best is not None else Z
-    A_hat = vgae_decode(Z_final)
-    return Z_final, lam, A_hat, threshold_adjacency(A_hat)
+    Z, A_hat, A_adv, X_syn, recon = best if best is not None else evaluate(Z)
+    return Z, lam, A_hat, A_adv, X_syn, recon, recon_initial
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +387,15 @@ def craft_with_trace(
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")
     g = build_update_graph(benign_updates, cfg.tau_edge)
-    decomp = gsp_decompose(g)
-    mu0, _ = vgae_encode(params, g)
-    recon_initial = recon_bce(vgae_decode(mu0), g.A)
-    _, lambda_dual, A_hat, A_adv = lagrange_dual_search(
+    _, lambda_dual, _, A_adv, X_syn, recon_final, recon_initial = lagrange_dual_search(
         params, g, reference, stealth_floor, cfg.dual_steps, cfg.dual_step_size
     )
-    X_syn = gsp_synthesize(decomp, A_adv)
     candidate = X_syn.mean(axis=0) + cfg.gamma_blend * raw_poison
     norm_cap = float(np.max(np.linalg.norm(benign_updates, axis=1)))
     final = project_stealth(candidate, reference, stealth_floor, norm_cap)
     trace = {
         "recon_bce_initial": recon_initial,
-        "recon_bce_final": recon_bce(A_hat, g.A),
+        "recon_bce_final": recon_final,
         "lambda_dual": lambda_dual,
         "stealth_cosine": cosine(final, reference),
         "edges_flipped": int(np.abs(A_adv - g.A).sum() // 2),

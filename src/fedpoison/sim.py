@@ -22,26 +22,11 @@ from fedpoison import data as data_mod
 from fedpoison import defense as defense_mod
 from fedpoison import grmp as grmp_mod
 from fedpoison import model as model_mod
+from fedpoison.data import DataConfig
 from fedpoison.defense import DefenseError, DefenseParams
 from fedpoison.grmp import GrmpConfig
 
 ATTACKS = ("none", "naive_flip", "grmp")
-
-
-@dataclass
-class DataConfig:
-    source: str = "synth"  # "synth" or "agnews"
-    train_per_class: int = 500
-    test_per_class: int = 62
-    vocab_per_class: int = 30
-    trigger_rate: float = 0.2
-    alpha: float = 0.5
-    hash_dim: int = 1024
-    triggers: tuple[str, ...] = data_mod.DEFAULT_TRIGGERS
-    src_class: int = 2  # business
-    dst_class: int = 1  # sports
-    agnews_train: str = ""
-    agnews_test: str = ""
 
 
 @dataclass
@@ -74,6 +59,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown attack {self.attack!r}")
         if self.data.src_class == self.data.dst_class:
             raise ValueError("src_class and dst_class must differ")
+        if not {self.data.src_class, self.data.dst_class} <= set(range(data_mod.N_CLASSES)):
+            raise ValueError(f"data.src_class and data.dst_class must lie in [0, {data_mod.N_CLASSES - 1}]")
+        if not self.data.triggers:
+            raise ValueError("data.triggers must name at least one trigger")
         p, n = self.defense_params, self.n_clients
         # written so that a NaN fails too
         for key, ok, want in (
@@ -123,13 +112,7 @@ def _child_seed(seed: int, *tags) -> int:
 
 def _build_corpus(cfg: ExperimentConfig) -> data_mod.Corpus:
     if cfg.data.source == "synth":
-        scfg = data_mod.SynthConfig(
-            train_per_class=cfg.data.train_per_class,
-            test_per_class=cfg.data.test_per_class,
-            vocab_per_class=cfg.data.vocab_per_class,
-            trigger_rate=cfg.data.trigger_rate,
-        )
-        return data_mod.synth_corpus(scfg, _child_seed(cfg.seed, "corpus"))
+        return data_mod.synth_corpus(cfg.data, _child_seed(cfg.seed, "corpus"))
     if cfg.data.source == "agnews":
         return data_mod.load_agnews_csv(cfg.data.agnews_train, cfg.data.agnews_test)
     raise ValueError(f"unknown data source {cfg.data.source!r}")
@@ -183,18 +166,10 @@ class _RunState:
             self.y_att_flip = np.concatenate([self.client_y_flipped[i] for i in self.attacker_ids])
 
 
-def _local_delta(state: _RunState, X, y, seed: int) -> np.ndarray:
+def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
     cfg = state.cfg
     return model_mod.local_train(
-        state.params,
-        X,
-        y,
-        state.class_count,
-        cfg.local_epochs,
-        cfg.lr,
-        cfg.batch_size,
-        seed,
-        cfg.weight_decay,
+        state.params, X, y, state.class_count, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
     )
 
 
@@ -240,10 +215,10 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
                 deltas.append(None)
                 continue
             y = state.client_y_flipped[i]
-        deltas.append(_local_delta(state, X, y, _child_seed(cfg.seed, "train", round_idx, i)))
+        seed = _child_seed(cfg.seed, "train", round_idx, i)
+        deltas.append(_local_delta(state, X, y, cfg.local_epochs, seed))
     benign_now = np.stack([d for i, d in enumerate(deltas) if i not in state.attacker_ids])
 
-    trace_entry = None
     if exploit and cfg.attack == "grmp":
         _fit_vgae_if_needed(state, benign_now)
         reference = (
@@ -251,12 +226,9 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             if state.prev_aggregate is not None
             else benign_now.mean(axis=0)
         )
-        pseed = _child_seed(cfg.seed, "poison", round_idx)
-        ptrain = lambda X, y: model_mod.local_train(
-            state.params, X, y, state.class_count, cfg.grmp.poison_epochs,
-            cfg.lr, cfg.batch_size, pseed, cfg.weight_decay,
-        )
-        raw_poison = ptrain(state.X_att, state.y_att_flip) - ptrain(state.X_att, state.y_att)
+        epochs, pseed = cfg.grmp.poison_epochs, _child_seed(cfg.seed, "poison", round_idx)
+        flipped = _local_delta(state, state.X_att, state.y_att_flip, epochs, pseed)
+        raw_poison = flipped - _local_delta(state, state.X_att, state.y_att, epochs, pseed)
         crafted, trace = grmp_mod.craft_with_trace(
             benign_now,
             raw_poison,
@@ -270,7 +242,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             noise = rng.standard_normal(crafted.size)
             noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
             deltas[i] = crafted + noise
-        trace_entry = {"round": round_idx, **trace}
+        state.attack_trace.append({"round": round_idx, **trace})
 
     updates = np.stack(deltas)
     reference = (
@@ -301,8 +273,6 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         state.prev_aggregate = report.aggregate
     if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
         state.history.append(benign_now)
-    if trace_entry is not None:
-        state.attack_trace.append(trace_entry)
 
     return RoundRecord(
         round=round_idx,

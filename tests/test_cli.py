@@ -52,8 +52,20 @@ def test_read_flat_file_errors(tmp_path):
 def test_parse_config_unknown_key_is_config_error(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("frobnicate=1\n")
-    with pytest.raises(cli.ConfigError, match="unknown config keys"):
+    with pytest.raises(cli.ConfigError, match="unknown config keys") as info:
         cli.parse_config(str(p))
+    assert str(info.value) == f"{p}: unknown config keys: frobnicate"
+    # type and validation errors name the file too
+    for text, message in [("rounds=many\n", "rounds: expected int, got 'many'"),
+                          ("defense=firewall\n", "unknown defense 'firewall'")]:
+        p.write_text(text)
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(str(p))
+        assert str(info.value) == f"{p}: {message}"
+    # overrides alone have no file to name
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config(None, {"frobnicate": "1"})
+    assert str(info.value) == "unknown config keys: frobnicate"
 
 
 def test_parse_config_overrides_skip_underscore_keys():
@@ -101,6 +113,18 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "krum needs n_clients >= defense.f + 3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_run_with_another_objective(tmp_path):
+    # the synthetic corpus plants the configured triggers in the configured
+    # source class, so the ASR subset is not empty
+    cfg_path = _write_tiny(
+        tmp_path, "attack = naive_flip\nphase_switch_round = 2\ndata.src_class = 3\ndata.triggers = gold\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    with open(out / "rounds.csv", newline="") as fh:
+        assert [r["round"] for r in csv.DictReader(fh)] == ["1", "2"]
 
 
 def test_runtime_error_exit_code_2(tmp_path, capsys):

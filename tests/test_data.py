@@ -79,7 +79,7 @@ def test_featurize_deterministic():
 # synth corpus
 
 def test_synth_corpus_counts_and_balance():
-    cfg = data.SynthConfig(train_per_class=100, test_per_class=25)
+    cfg = data.DataConfig(train_per_class=100, test_per_class=25)
     c = data.synth_corpus(cfg, seed=7)
     assert len(c.train) == 400 and len(c.test) == 100
     labels = [e.label for e in c.train]
@@ -87,7 +87,7 @@ def test_synth_corpus_counts_and_balance():
 
 
 def test_synth_corpus_trigger_rate_one():
-    cfg = data.SynthConfig(train_per_class=50, test_per_class=10, trigger_rate=1.0)
+    cfg = data.DataConfig(train_per_class=50, test_per_class=10, trigger_rate=1.0)
     c = data.synth_corpus(cfg, seed=1)
     trig = set(data.DEFAULT_TRIGGERS)
     for e in c.train + c.test:
@@ -97,16 +97,25 @@ def test_synth_corpus_trigger_rate_one():
             assert not set(e.tokens) & trig
 
 
+def test_synth_corpus_plants_configured_triggers_in_src_class():
+    cfg = data.DataConfig(train_per_class=20, test_per_class=5, trigger_rate=1.0,
+                          src_class=3, triggers=("gold", "silver"))
+    c = data.synth_corpus(cfg, seed=1)
+    for e in c.train + c.test:
+        assert bool(set(e.tokens) & {"gold", "silver"}) == (e.label == 3)
+        assert not set(e.tokens) & set(data.DEFAULT_TRIGGERS)
+
+
 def test_synth_corpus_pure_function():
-    cfg = data.SynthConfig(train_per_class=20, test_per_class=5)
+    cfg = data.DataConfig(train_per_class=20, test_per_class=5)
     assert data.synth_corpus(cfg, 3) == data.synth_corpus(cfg, 3)
 
 
 def test_synth_corpus_validates():
     with pytest.raises(ValueError):
-        data.synth_corpus(data.SynthConfig(train_per_class=0), 0)
+        data.synth_corpus(data.DataConfig(train_per_class=0), 0)
     with pytest.raises(ValueError):
-        data.synth_corpus(data.SynthConfig(trigger_rate=1.5), 0)
+        data.synth_corpus(data.DataConfig(trigger_rate=1.5), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +128,7 @@ def test_synth_corpus_validates():
 )
 @settings(max_examples=40, deadline=None)
 def test_partition_disjoint_cover(alpha, n_clients, seed):
-    cfg = data.SynthConfig(train_per_class=30, test_per_class=5)
+    cfg = data.DataConfig(train_per_class=30, test_per_class=5)
     corpus = data.synth_corpus(cfg, seed=0)
     parts = data.partition_noniid(corpus, n_clients, alpha, seed)
     all_idx = np.concatenate(parts)
@@ -130,7 +139,7 @@ def test_partition_disjoint_cover(alpha, n_clients, seed):
 
 
 def test_partition_skew_increases_at_low_alpha():
-    corpus = data.synth_corpus(data.SynthConfig(train_per_class=200, test_per_class=5), 0)
+    corpus = data.synth_corpus(data.DataConfig(train_per_class=200, test_per_class=5), 0)
 
     def skew(alpha):
         parts = data.partition_noniid(corpus, 6, alpha, seed=5)
@@ -146,7 +155,7 @@ def test_partition_skew_increases_at_low_alpha():
 
 
 def test_partition_validates():
-    corpus = data.synth_corpus(data.SynthConfig(train_per_class=5, test_per_class=2), 0)
+    corpus = data.synth_corpus(data.DataConfig(train_per_class=5, test_per_class=2), 0)
     with pytest.raises(ValueError):
         data.partition_noniid(corpus, 0, 1.0, 0)
     with pytest.raises(ValueError):
@@ -159,7 +168,7 @@ def test_partition_validates():
 # flip / ASR subset
 
 def _corpus():
-    return data.synth_corpus(data.SynthConfig(train_per_class=80, test_per_class=20,
+    return data.synth_corpus(data.DataConfig(train_per_class=80, test_per_class=20,
                                               trigger_rate=0.5), seed=9)
 
 
@@ -196,7 +205,7 @@ def test_asr_subset_matches_bruteforce():
 
 
 def test_asr_subset_empty_error():
-    c = data.synth_corpus(data.SynthConfig(train_per_class=5, test_per_class=5,
+    c = data.synth_corpus(data.DataConfig(train_per_class=5, test_per_class=5,
                                            trigger_rate=0.0), seed=0)
     with pytest.raises(ValueError, match="ASR subset empty"):
         data.asr_eval_subset(c, data.DEFAULT_TRIGGERS, 2)

@@ -2,6 +2,7 @@
 spec's invariance properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ def test_krum_matches_oracle(seed):
 def test_krum_needs_enough_clients():
     with pytest.raises(defense.DefenseError):
         defense.krum(_updates(0, n=3), f=1)
+
+
+def test_krum_scores_memory_linear_in_n():
+    # one row of distances at a time: the n x n x d difference tensor would
+    # take n * d * n * 8 bytes, here 118 MB
+    n, d = 60, 4096
+    u = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        defense.krum_scores(u, f=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * d * 8
 
 
 def test_multi_krum_selects_m_best():

@@ -275,27 +275,81 @@ def _search_setup(seed):
     return g, p, ref
 
 
-def test_dual_search_output_shapes_and_validity():
-    g, p, ref = _search_setup(0)
-    Z, lam, A_hat, A_adv = grmp.lagrange_dual_search(p, g, ref, 0.3, steps=40, step_size=0.05)
+def _search_with_iterates(monkeypatch, g, p, ref, floor, steps):
+    """Run the search, recording a copy of every latent it decodes."""
+    iterates = []
+    real = grmp.vgae_decode
+
+    def spy(Z):
+        iterates.append(Z.copy())
+        return real(Z)
+
+    monkeypatch.setattr(grmp, "vgae_decode", spy)
+    out = grmp.lagrange_dual_search(p, g, ref, floor, steps, 0.05)
+    monkeypatch.undo()
+    return out, iterates
+
+
+def _recompute(g, Z):
+    """(A_hat, A_adv, X_syn, recon) of latent Z, from the public stages."""
+    A_hat = grmp.vgae_decode(Z)
+    A_adv = grmp.threshold_adjacency(A_hat)
+    X_syn = grmp.gsp_synthesize(grmp.gsp_decompose(g), A_adv)
+    return A_hat, A_adv, X_syn, grmp.recon_bce(A_hat, g.A)
+
+
+def _check_search(g, p, ref, floor, steps, out, iterates):
+    """Every returned artifact equals its recomputation, and Z is the first
+    highest-BCE step whose cosine came within 0.05 of the floor, or the final
+    latent when none did. Returns whether the search fell back."""
+    Z, lam, A_hat, A_adv, X_syn, recon, recon_initial = out
     n = len(g.A)
-    assert A_adv.shape == (n, n)
+    assert Z.shape == (n, p.latent)
+    assert lam >= 0.0
     assert np.array_equal(A_adv, A_adv.T)
     assert set(np.unique(A_adv)).issubset({0.0, 1.0})
     assert np.diag(A_adv).sum() == 0
-    assert lam >= 0.0
-    assert Z.shape == (n, p.latent)
-    assert np.array_equal(A_hat, grmp.vgae_decode(Z))
-    assert np.array_equal(A_adv, grmp.threshold_adjacency(A_hat))
+    want = _recompute(g, Z)
+    for got, expect in zip((A_hat, A_adv, X_syn), want[:3]):
+        assert np.array_equal(got, expect)
+    assert recon == want[3]
+    mu0, _ = grmp.vgae_encode(p, g)
+    assert np.array_equal(iterates[0], mu0)
+    assert recon_initial == grmp.recon_bce(grmp.vgae_decode(mu0), g.A)
+    stepped = [(Zt, *_recompute(g, Zt)) for Zt in iterates[:steps]]
+    ok = [(r, t) for t, (_, _, _, Xs, r) in enumerate(stepped)
+          if cosine(Xs.mean(axis=0), ref) >= floor - 0.05]
+    if ok:
+        best = max(ok, key=lambda rt: (rt[0], -rt[1]))[1]
+        assert len(iterates) == steps
+        assert np.array_equal(Z, iterates[best])
+    else:
+        assert len(iterates) == steps + 1
+        assert np.array_equal(Z, iterates[-1])
+    return not ok
+
+
+def test_dual_search_output_shapes_and_validity(monkeypatch):
+    g, p, ref = _search_setup(0)
+    out, iterates = _search_with_iterates(monkeypatch, g, p, ref, 0.3, steps=40)
+    assert not _check_search(g, p, ref, 0.3, 40, out, iterates)
+
+
+def test_dual_search_falls_back_to_the_last_latent(monkeypatch):
+    # no step reaches a cosine of 0.95, so the final latent is evaluated once
+    # more and returned
+    g, p, ref = _search_setup(0)
+    out, iterates = _search_with_iterates(monkeypatch, g, p, ref, 1.0, steps=40)
+    assert _check_search(g, p, ref, 1.0, 40, out, iterates)
 
 
 def test_dual_search_deterministic():
     g, p, ref = _search_setup(1)
-    Z1, lam1, _, a1 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
-    Z2, lam2, _, a2 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
-    assert np.array_equal(a1, a2)
-    assert np.array_equal(Z1, Z2)
-    assert lam1 == lam2
+    out1 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
+    out2 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
+    assert len(out1) == len(out2) == 7
+    for a, b in zip(out1, out2):
+        assert np.array_equal(a, b)
 
 
 def test_dual_search_validates():
@@ -354,10 +408,44 @@ def test_craft_postconditions_and_trace():
     assert final.shape == (12,)
     assert cosine(final, ref) >= floor - 1e-9
     assert np.linalg.norm(final) <= np.linalg.norm(benign, axis=1).max() + 1e-9
-    for key in ("recon_bce_initial", "recon_bce_final", "lambda_dual",
-                "stealth_cosine", "edges_flipped"):
-        assert key in trace
-    assert trace["edges_flipped"] >= 0
+    assert set(trace) == {"recon_bce_initial", "recon_bce_final", "lambda_dual",
+                          "stealth_cosine", "edges_flipped"}
+    # the trace reports the search's own values
+    _, lam, _, A_adv, _, recon, recon_initial = grmp.lagrange_dual_search(
+        params, g, ref, floor, cfg.dual_steps, cfg.dual_step_size
+    )
+    assert trace["recon_bce_initial"] == recon_initial
+    assert trace["recon_bce_final"] == recon
+    assert trace["lambda_dual"] == lam
+    assert trace["edges_flipped"] == int(np.abs(A_adv - g.A).sum() // 2)
+    assert trace["stealth_cosine"] == cosine(final, ref)
+
+
+@pytest.mark.parametrize("floor, fallback", [(-1.0, 0), (1.0, 1)])
+def test_craft_runs_each_stage_once(monkeypatch, floor, fallback):
+    # the dual search hands its chosen iterate over, so a craft encodes and
+    # decomposes the benign graph once and evaluates each dual step once, plus
+    # the final latent when no step met the floor (floor 1.0 here)
+    rng = np.random.default_rng(9)
+    benign = rng.standard_normal((5, 12))
+    ref = rng.standard_normal(12)
+    poison = rng.standard_normal(12)
+    cfg = grmp.GrmpConfig(dual_steps=25, vgae_epochs=30, hidden=6, latent=3)
+    g = grmp.build_update_graph(benign, cfg.tau_edge)
+    params = grmp.fit_vgae([g], cfg.hidden, cfg.latent, cfg.vgae_epochs, cfg.vgae_lr, 0)
+    calls = {}
+    for name in ("vgae_encode", "gsp_decompose", "gsp_synthesize",
+                 "vgae_decode", "threshold_adjacency", "recon_bce"):
+        def spy(*args, _name=name, _real=getattr(grmp, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(grmp, name, spy)
+    grmp.craft_with_trace(benign, poison, ref, floor, cfg, params)
+    per_step = cfg.dual_steps + fallback
+    assert calls == {
+        "vgae_encode": 1, "gsp_decompose": 1, "gsp_synthesize": per_step,
+        "vgae_decode": per_step, "threshold_adjacency": per_step, "recon_bce": per_step,
+    }
 
 
 def test_craft_poison_direction_survives():

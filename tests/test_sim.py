@@ -41,6 +41,16 @@ def test_config_validate_errors():
     cfg.data.dst_class = cfg.data.src_class
     with pytest.raises(ValueError):
         cfg.validate()
+    # the attack objective must be satisfiable on a 4-class corpus
+    for field_name, value, message in [
+        ("triggers", (), "data.triggers must name at least one trigger"),
+        ("src_class", 4, r"data.src_class and data.dst_class must lie in \[0, 3\]"),
+        ("dst_class", -1, r"data.src_class and data.dst_class must lie in \[0, 3\]"),
+    ]:
+        cfg = tiny_cfg()
+        setattr(cfg.data, field_name, value)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
     # defense parameters with which no round can run (n_clients=6)
     for defense_name, params, message in [
         ("fedavg", {"f": -1}, "defense.f must be >= 0"),
@@ -349,7 +359,8 @@ def test_write_run_dir_artifacts_and_reproducibility(tmp_path):
     assert cfg_back == cfg
     # rerun from the snapshot is byte-identical
     sim.write_run_dir(sim.run_experiment(cfg_back), str(d2))
-    assert (d1 / "rounds.csv").read_bytes() == (d2 / "rounds.csv").read_bytes()
-    assert (d1 / "scores.csv").read_bytes() == (d2 / "scores.csv").read_bytes()
+    for name in ("rounds.csv", "scores.csv", "attack_trace.jsonl", "model.bin"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    assert len((d1 / "attack_trace.jsonl").read_text().splitlines()) == 2
     # checkpoint round trip
     assert np.array_equal(model.load_params(str(d1 / "model.bin")), res.final_params)
