@@ -84,8 +84,42 @@ def _normalized_adjacency(A: np.ndarray) -> np.ndarray:
     return A_tilde * dinv[:, None] * dinv[None, :]
 
 
+@dataclass
+class GraphStack:
+    """Update graphs of one node count, stacked for batched VGAE passes, with
+    each graph's normalized adjacency, its product with the features and its
+    reconstruction edge weight computed once."""
+
+    A: np.ndarray  # G x n x n
+    An: np.ndarray  # G x n x n, normalized A + I
+    AX: np.ndarray  # G x n x d, An @ X
+    w: np.ndarray  # G x 1 x 1, reconstruction edge weight
+
+
+def stack_graphs(graphs: list[UpdateGraph]) -> GraphStack:
+    if not graphs:
+        raise ValueError("need at least one graph")
+    n, d = graphs[0].X.shape
+    for g in graphs:
+        if g.X.shape[1] != d:
+            raise ValueError("all graphs must share the feature dimension")
+        if len(g.X) != n:
+            raise ValueError("all graphs must share the node count")
+    An = [_normalized_adjacency(g.A) for g in graphs]
+    return GraphStack(
+        A=np.stack([g.A for g in graphs]),
+        An=np.stack(An),
+        AX=np.stack([a @ g.X for a, g in zip(An, graphs)]),
+        w=np.array([_recon_weight(g.A) for g in graphs]).reshape(-1, 1, 1),
+    )
+
+
 # ---------------------------------------------------------------------------
 # VGAE forward / loss / gradients
+#
+# _encode, vgae_decode and _recon_grad_wrt_Z also take a leading axis of
+# stacked graphs: every product is then one matmul per graph, the same one a
+# single graph gets, so a stacked pass gives the single-graph bits.
 
 def init_vgae(d: int, h: int, k: int, seed: int) -> VgaeParams:
     """Xavier-uniform initialization."""
@@ -100,6 +134,14 @@ def init_vgae(d: int, h: int, k: int, seed: int) -> VgaeParams:
     return VgaeParams(W0=xavier(d, h), W_mu=xavier(h, k), W_logvar=xavier(h, k))
 
 
+def _encode(params: VgaeParams, An: np.ndarray, AX: np.ndarray) -> tuple:
+    """Two GCN layers from An and An @ X: (pre-activation, second-layer input,
+    mean, log-variance)."""
+    Hpre = AX @ params.W0
+    M = An @ np.maximum(Hpre, 0.0)
+    return Hpre, M, M @ params.W_mu, M @ params.W_logvar
+
+
 def vgae_encode(params: VgaeParams, g: UpdateGraph) -> tuple[np.ndarray, np.ndarray]:
     """Two-layer GCN producing per-node Gaussian mean and log-variance."""
     if g.X.shape[1] != params.W0.shape[0]:
@@ -107,14 +149,13 @@ def vgae_encode(params: VgaeParams, g: UpdateGraph) -> tuple[np.ndarray, np.ndar
             f"feature dim {g.X.shape[1]} != encoder input dim {params.W0.shape[0]}"
         )
     An = _normalized_adjacency(g.A)
-    H = np.maximum(An @ g.X @ params.W0, 0.0)
-    M = An @ H
-    return M @ params.W_mu, M @ params.W_logvar
+    _, _, mu, logvar = _encode(params, An, An @ g.X)
+    return mu, logvar
 
 
 def vgae_decode(Z: np.ndarray) -> np.ndarray:
     """Inner-product decoder: sigmoid(Z Z^T), symmetric by construction."""
-    S = Z @ Z.T
+    S = Z @ Z.swapaxes(-1, -2)
     return 1.0 / (1.0 + np.exp(-S))
 
 
@@ -149,73 +190,62 @@ def vgae_loss(
     return recon + kl, recon, kl
 
 
-def _recon_grad_wrt_Z(A_hat: np.ndarray, A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """d recon_bce / dZ through the inner-product decoder."""
-    n = len(A)
+def _recon_grad_wrt_Z(A_hat: np.ndarray, A: np.ndarray, Z: np.ndarray, w) -> np.ndarray:
+    """d recon_bce / dZ through the inner-product decoder, given the edge
+    weight w = _recon_weight(A) (one per graph of a stack)."""
+    n = A.shape[-1]
     p = np.clip(A_hat, _CLIP, 1.0 - _CLIP)
-    w = _recon_weight(A)
     M = n * (n - 1)
     dp = (-(w * A / p) + (1.0 - A) / (1.0 - p)) / M
     off = ~np.eye(n, dtype=bool)
     dp = dp * off
     unclamped = (A_hat > _CLIP) & (A_hat < 1.0 - _CLIP)
     dS = dp * A_hat * (1.0 - A_hat) * unclamped
-    return (dS + dS.T) @ Z
+    return (dS + dS.swapaxes(-1, -2)) @ Z
 
 
-def vgae_loss_and_grads(
-    params: VgaeParams, g: UpdateGraph, eps: np.ndarray
-) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
-    """Forward pass with a fixed reparameterization draw eps, plus analytic
-    gradients w.r.t. all three weight matrices."""
-    An = _normalized_adjacency(g.A)
-    AX = An @ g.X
-    Hpre = AX @ params.W0
-    H = np.maximum(Hpre, 0.0)
-    M = An @ H
-    mu = M @ params.W_mu
-    logvar = M @ params.W_logvar
+def vgae_grads(params: VgaeParams, s: GraphStack, eps: np.ndarray) -> dict[str, np.ndarray]:
+    """Analytic gradients of the ELBO summed over the stacked graphs w.r.t. all
+    three weight matrices, with a fixed reparameterization draw eps (G x n x k).
+    The per-graph gradients are added in graph order into one buffer per
+    weight matrix, never held as a G x d x h tensor."""
+    Hpre, M, mu, logvar = _encode(params, s.An, s.AX)
     std = np.exp(0.5 * logvar)
     Z = mu + std * eps
     A_hat = vgae_decode(Z)
-    losses = vgae_loss(A_hat, g.A, mu, logvar)
 
-    n, k = mu.shape
+    n, k = mu.shape[-2:]
     N = n * k
-    dZ = _recon_grad_wrt_Z(A_hat, g.A, Z)
+    dZ = _recon_grad_wrt_Z(A_hat, s.A, Z, s.w)
     dmu = dZ + mu / N
     dlogvar = dZ * eps * 0.5 * std + (np.exp(logvar) - 1.0) / (2.0 * N)
-    dW_mu = M.T @ dmu
-    dW_logvar = M.T @ dlogvar
     dM = dmu @ params.W_mu.T + dlogvar @ params.W_logvar.T
-    dH = An @ dM  # An symmetric
+    dH = s.An @ dM  # An symmetric
     dHpre = dH * (Hpre > 0.0)
-    dW0 = AX.T @ dHpre
-    return losses, {"W0": dW0, "W_mu": dW_mu, "W_logvar": dW_logvar}
+    grads = {key: np.zeros_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
+    dW0 = np.empty_like(params.W0)
+    for i in range(len(s.A)):
+        grads["W0"] += np.matmul(s.AX[i].T, dHpre[i], out=dW0)
+        grads["W_mu"] += M[i].T @ dmu[i]
+        grads["W_logvar"] += M[i].T @ dlogvar[i]
+    return grads
 
 
 def fit_vgae(
     graphs: list[UpdateGraph], h: int, k: int, epochs: int, lr: float, seed: int
 ) -> VgaeParams:
-    """Full-batch gradient descent on the summed ELBO over the given graphs."""
-    if not graphs:
-        raise ValueError("need at least one graph")
-    d = graphs[0].X.shape[1]
-    for g in graphs:
-        if g.X.shape[1] != d:
-            raise ValueError("all graphs must share the feature dimension")
+    """Full-batch gradient descent on the summed ELBO over the given graphs,
+    all of them in one stacked pass per epoch."""
+    s = stack_graphs(graphs)
+    G, n, d = s.AX.shape
     params = init_vgae(d, h, k, seed)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        acc = {"W0": 0.0, "W_mu": 0.0, "W_logvar": 0.0}
-        for g in graphs:
-            eps = rng.standard_normal((len(g.X), k))
-            _, grads = vgae_loss_and_grads(params, g, eps)
-            for key in acc:
-                acc[key] = acc[key] + grads[key]
-        params.W0 -= lr * acc["W0"]
-        params.W_mu -= lr * acc["W_mu"]
-        params.W_logvar -= lr * acc["W_logvar"]
+        # one draw yields the same stream as one n x k draw per graph in order
+        grads = vgae_grads(params, s, rng.standard_normal((G, n, k)))
+        params.W0 -= lr * grads["W0"]
+        params.W_mu -= lr * grads["W_mu"]
+        params.W_logvar -= lr * grads["W_logvar"]
     return params
 
 
@@ -269,6 +299,7 @@ def lagrange_dual_search(
         raise ValueError("steps must be >= 1")
     mu0, _ = vgae_encode(params, g)
     decomp = gsp_decompose(g)
+    w = _recon_weight(g.A)
 
     def evaluate(Z: np.ndarray) -> tuple:
         A_hat = vgae_decode(Z)
@@ -288,7 +319,7 @@ def lagrange_dual_search(
             recon_initial = recon
         if c >= stealth_floor - 0.05 and (best is None or recon > best[4]):
             best = it
-        grad = _recon_grad_wrt_Z(A_hat, g.A, Z)
+        grad = _recon_grad_wrt_Z(A_hat, g.A, Z, w)
         viol = max(0.0, stealth_floor - c)
         if viol > 0.0 and lam > 0.0:
             pull = mu0 - Z

@@ -63,18 +63,28 @@ class ExperimentConfig:
             raise ValueError(f"data.src_class and data.dst_class must lie in [0, {data_mod.N_CLASSES - 1}]")
         if not self.data.triggers:
             raise ValueError("data.triggers must name at least one trigger")
-        p, n = self.defense_params, self.n_clients
+        for t in self.data.triggers:
+            # a trigger is matched against tokenized text
+            if data_mod.tokenize(t) != (t,):
+                raise ValueError(f"data.triggers: {t!r} is not a token (tokenizes to {data_mod.tokenize(t)})")
+        d, p, n = self.data, self.defense_params, self.n_clients
         # written so that a NaN fails too
         for key, ok, want in (
-            ("f", p.f >= 0, ">= 0"),
-            ("m", p.m >= 1, ">= 1"),
-            ("beta", p.beta >= 0, ">= 0"),
-            ("lambda", p.lambda_ >= 0, ">= 0"),
-            ("gm_tol", p.gm_tol > 0, "> 0"),
-            ("gm_max_iter", p.gm_max_iter >= 1, ">= 1"),
+            ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
+            ("data.alpha", d.alpha > 0, "> 0"),
+            ("data.trigger_rate", d.source != "synth" or 0 < d.trigger_rate <= 1, "in (0, 1] on synth data"),
+            ("data.train_per_class", d.train_per_class >= 1, ">= 1"),
+            ("data.test_per_class", d.test_per_class >= 1, ">= 1"),
+            ("data.vocab_per_class", d.vocab_per_class >= 1, ">= 1"),
+            ("defense.f", p.f >= 0, ">= 0"),
+            ("defense.m", p.m >= 1, ">= 1"),
+            ("defense.beta", p.beta >= 0, ">= 0"),
+            ("defense.lambda", p.lambda_ >= 0, ">= 0"),
+            ("defense.gm_tol", p.gm_tol > 0, "> 0"),
+            ("defense.gm_max_iter", p.gm_max_iter >= 1, ">= 1"),
         ):
             if not ok:
-                raise ValueError(f"defense.{key} must be {want}")
+                raise ValueError(f"{key} must be {want}")
         # parameters with which the configured rule can aggregate no round
         if self.defense in ("krum", "multi_krum") and n < p.f + 3:
             raise ValueError(f"{self.defense} needs n_clients >= defense.f + 3 (got {n}, f={p.f})")
@@ -270,6 +280,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
 
     if not defense_error:
         state.params = state.params + report.aggregate
+        if not np.all(np.isfinite(state.params)):
+            raise FloatingPointError(f"{cfg.defense} aggregate is not finite")
         state.prev_aggregate = report.aggregate
     if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
         state.history.append(benign_now)
@@ -340,7 +352,8 @@ def _coerce(raw: object, target, key: str):
         if isinstance(raw, str):
             s = raw.strip()
             if kind is tuple:
-                return tuple(t for t in s.split(",") if t)
+                pieces = (t.strip() for t in s.split(","))
+                return tuple(t for t in pieces if t)
             if kind in (str, int, float):
                 return kind(s)
         elif kind in (int, float) and type(raw) in (int, float):  # a bool is neither

@@ -112,6 +112,16 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     cfg_path = _write_tiny(tmp_path, "defense = krum\ndefense.f = 5\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "krum needs n_clients >= defense.f + 3" in capsys.readouterr().err
+    # so do data parameters and triggers that no tokenizer produces
+    for extra, message in [
+        ("data.hash_dim = 100\n", "data.hash_dim must be a power of two"),
+        ("data.trigger_rate = 0\n", "data.trigger_rate must be in (0, 1]"),
+        ("data.triggers = gold, Silver\n", "data.triggers: 'Silver' is not a token"),
+    ]:
+        cfg_path = _write_tiny(tmp_path, extra)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
     assert not (tmp_path / "o").exists()
 
 

@@ -160,10 +160,12 @@ def test_vgae_gradients_match_finite_differences():
     eps = np.random.default_rng(22).standard_normal((4, 2))
 
     def loss_of(params):
-        (total, _, _), _ = grmp.vgae_loss_and_grads(params, g, eps)
+        # the ELBO at the fixed draw eps, from the public stages
+        mu, lv = grmp.vgae_encode(params, g)
+        total, _, _ = grmp.vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * eps), g.A, mu, lv)
         return total
 
-    _, grads = grmp.vgae_loss_and_grads(p, g, eps)
+    grads = grmp.vgae_grads(p, grmp.stack_graphs([g]), eps[None])
     h = 1e-6
     for name in ("W0", "W_mu", "W_logvar"):
         W = getattr(p, name)
@@ -195,6 +197,84 @@ def test_fit_vgae_reduces_loss():
     p0 = grmp.init_vgae(6, 4, 2, seed=1)
     p1 = grmp.fit_vgae(graphs, 4, 2, epochs=150, lr=0.02, seed=1)
     assert total_loss(p1) < total_loss(p0)
+
+
+def per_graph_fit_oracle(graphs, h, k, epochs, lr, seed):
+    """The fit as one forward/backward pass per graph and epoch, gradients
+    summed in graph order: the stacked fit must reproduce it bit for bit."""
+    params = grmp.init_vgae(graphs[0].X.shape[1], h, k, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        acc = {"W0": 0.0, "W_mu": 0.0, "W_logvar": 0.0}
+        for g in graphs:
+            eps = rng.standard_normal((len(g.X), k))
+            n = len(g.A)
+            A_tilde = g.A + np.eye(n)
+            dinv = 1.0 / np.sqrt(A_tilde.sum(axis=1))
+            An = A_tilde * dinv[:, None] * dinv[None, :]
+            AX = An @ g.X
+            Hpre = AX @ params.W0
+            M = An @ np.maximum(Hpre, 0.0)
+            mu, logvar = M @ params.W_mu, M @ params.W_logvar
+            std = np.exp(0.5 * logvar)
+            Z = mu + std * eps
+            A_hat = 1.0 / (1.0 + np.exp(-(Z @ Z.T)))
+            # d recon / dZ
+            edges = g.A.sum()
+            w = float((n * (n - 1) - edges) / edges) if edges > 0 else 1.0
+            p = np.clip(A_hat, 1e-7, 1.0 - 1e-7)
+            dp = (-(w * g.A / p) + (1.0 - g.A) / (1.0 - p)) / (n * (n - 1))
+            dp = dp * ~np.eye(n, dtype=bool)
+            unclamped = (A_hat > 1e-7) & (A_hat < 1.0 - 1e-7)
+            dS = dp * A_hat * (1.0 - A_hat) * unclamped
+            dZ = (dS + dS.T) @ Z
+            N = n * k
+            dmu = dZ + mu / N
+            dlogvar = dZ * eps * 0.5 * std + (np.exp(logvar) - 1.0) / (2.0 * N)
+            dM = dmu @ params.W_mu.T + dlogvar @ params.W_logvar.T
+            dHpre = (An @ dM) * (Hpre > 0.0)
+            acc["W0"] = acc["W0"] + AX.T @ dHpre
+            acc["W_mu"] = acc["W_mu"] + M.T @ dmu
+            acc["W_logvar"] = acc["W_logvar"] + M.T @ dlogvar
+        params.W0 -= lr * acc["W0"]
+        params.W_mu -= lr * acc["W_mu"]
+        params.W_logvar -= lr * acc["W_logvar"]
+    return params
+
+
+def _assert_fit_matches_oracle(graphs, h, k, epochs, lr, seed):
+    fit = grmp.fit_vgae(graphs, h, k, epochs, lr, seed)
+    ref = per_graph_fit_oracle(graphs, h, k, epochs, lr, seed)
+    init = grmp.init_vgae(graphs[0].X.shape[1], h, k, seed)
+    for name in ("W0", "W_mu", "W_logvar"):
+        assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
+        assert not np.array_equal(getattr(fit, name), getattr(init, name)), name
+
+
+@pytest.mark.parametrize("G", [1, 3, 10])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_fit_vgae_matches_per_graph_oracle_bit_for_bit(G, n):
+    rng = np.random.default_rng(100 * G + n)
+    # thresholds from -1 (complete graph) to 1 (no edges) vary the edge weight
+    graphs = [
+        grmp.build_update_graph(rng.standard_normal((n, 8)), float(rng.uniform(-1.0, 1.0)))
+        for _ in range(G)
+    ]
+    _assert_fit_matches_oracle(graphs, 6, 3, epochs=25, lr=0.05, seed=G + n)
+
+
+def test_fit_vgae_matches_per_graph_oracle_at_desk_shapes():
+    # ten history graphs of four benign updates of 4096 weights, h=32, k=8
+    rng = np.random.default_rng(7)
+    graphs = [grmp.build_update_graph(1e-2 * rng.standard_normal((4, 4096)), 0.3) for _ in range(10)]
+    _assert_fit_matches_oracle(graphs, 32, 8, epochs=3, lr=0.01, seed=7)
+
+
+def test_fit_vgae_needs_one_node_count():
+    with pytest.raises(ValueError, match="node count"):
+        grmp.fit_vgae([_graph(0, n=4), _graph(1, n=5)], 4, 2, epochs=1, lr=0.01, seed=0)
+    with pytest.raises(ValueError, match="feature dimension"):
+        grmp.fit_vgae([_graph(0, d=6), _graph(1, d=7)], 4, 2, epochs=1, lr=0.01, seed=0)
 
 
 def test_init_vgae_dim_order():

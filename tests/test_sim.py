@@ -51,6 +51,29 @@ def test_config_validate_errors():
         setattr(cfg.data, field_name, value)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+    # data parameters with which no run can start
+    for field_name, value, message in [
+        ("triggers", ("gold", " Silver"), r"data.triggers: ' Silver' is not a token"),
+        ("triggers", ("gold", "Silver"), r"data.triggers: 'Silver' is not a token"),
+        ("triggers", ("gold-leaf",), r"data.triggers: 'gold-leaf' is not a token"),
+        ("hash_dim", 100, "data.hash_dim must be a power of two"),
+        ("hash_dim", 0, "data.hash_dim must be a power of two"),
+        ("alpha", 0.0, r"data.alpha must be > 0"),
+        ("alpha", float("nan"), r"data.alpha must be > 0"),
+        ("trigger_rate", 0.0, r"data.trigger_rate must be in \(0, 1\] on synth data"),
+        ("trigger_rate", 1.5, r"data.trigger_rate must be in \(0, 1\] on synth data"),
+        ("train_per_class", 0, "data.train_per_class must be >= 1"),
+        ("test_per_class", 0, "data.test_per_class must be >= 1"),
+        ("vocab_per_class", 0, "data.vocab_per_class must be >= 1"),
+    ]:
+        cfg = tiny_cfg()
+        setattr(cfg.data, field_name, value)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+    # the trigger rate only shapes the synthetic corpus
+    cfg = tiny_cfg()
+    cfg.data.source, cfg.data.trigger_rate = "agnews", 0.0
+    cfg.validate()
     # defense parameters with which no round can run (n_clients=6)
     for defense_name, params, message in [
         ("fedavg", {"f": -1}, "defense.f must be >= 0"),
@@ -277,6 +300,19 @@ def test_round_failure_is_wrapped_with_round_number():
         sim.run_experiment(cfg)
 
 
+def test_non_finite_aggregate_fails_the_round(monkeypatch):
+    def nan_defense(name, updates, weights, cosines, params):
+        aggregate = np.full(updates.shape[1], np.nan)
+        return defense.AggregationReport(
+            aggregate=aggregate, accepted=np.ones(len(updates), dtype=bool),
+            scores=np.array(cosines), threshold=None, rule=name,
+        )
+
+    monkeypatch.setattr(defense, "apply_defense", nan_defense)
+    with pytest.raises(RuntimeError, match="^round 1 failed: fedavg aggregate is not finite$"):
+        sim.run_experiment(tiny_cfg(defense="fedavg"))
+
+
 # ---------------------------------------------------------------------------
 # seed derivation
 
@@ -308,6 +344,14 @@ def test_config_from_flat_coerces_strings():
     })
     assert cfg.rounds == 7 and cfg.lr == 0.25
     assert cfg.data.triggers == ("a", "b")
+
+
+def test_config_from_flat_strips_trigger_pieces():
+    cfg = sim.config_from_flat({"data.triggers": "gold, silver"})
+    assert cfg.data.triggers == ("gold", "silver")
+    assert sim.config_from_flat({"data.triggers": " gold ,, silver,"}).data.triggers == ("gold", "silver")
+    with pytest.raises(ValueError, match="'Silver' is not a token"):
+        sim.config_from_flat({"data.triggers": "gold, Silver"})
 
 
 def test_config_from_flat_unknown_key():
