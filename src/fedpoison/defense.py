@@ -49,12 +49,12 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     if n < f + 3:
         raise DefenseError(f"krum needs n >= f+3 (got n={n}, f={f})")
     k = n - f - 2
-    scores = np.empty(n)
-    for i in range(n):
-        # one row of squared distances at a time: O(n*d) memory, not O(n*n*d)
-        d2 = np.sum((updates - updates[i]) ** 2, axis=1)
-        scores[i] = np.sort(np.delete(d2, i))[:k].sum()
-    return scores
+    # each pair's squared distance once: row i against the rows after it,
+    # mirrored below the diagonal; O(n*d + n*n) memory, not O(n*n*d)
+    d2 = np.zeros((n, n))
+    for i in range(n - 1):
+        d2[i, i + 1 :] = d2[i + 1 :, i] = np.sum((updates[i + 1 :] - updates[i]) ** 2, axis=1)
+    return np.array([np.sort(np.delete(d2[i], i))[:k].sum() for i in range(n)])
 
 
 def krum(updates: np.ndarray, f: int) -> tuple[int, np.ndarray]:

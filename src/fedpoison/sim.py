@@ -70,6 +70,7 @@ class ExperimentConfig:
         d, p, n = self.data, self.defense_params, self.n_clients
         # written so that a NaN fails too
         for key, ok, want in (
+            ("data.source", d.source in ("synth", "agnews"), "'synth' or 'agnews'"),
             ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
             ("data.alpha", d.alpha > 0, "> 0"),
             ("data.trigger_rate", d.source != "synth" or 0 < d.trigger_rate <= 1, "in (0, 1] on synth data"),
@@ -85,6 +86,12 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must be {want}")
+        # every client needs a train example, and a synth train set has this many
+        if d.source == "synth" and n > data_mod.N_CLASSES * d.train_per_class:
+            raise ValueError(
+                f"n_clients must be <= {data_mod.N_CLASSES} * data.train_per_class on synth data "
+                f"(got {n}, train_per_class={d.train_per_class})"
+            )
         # parameters with which the configured rule can aggregate no round
         if self.defense in ("krum", "multi_krum") and n < p.f + 3:
             raise ValueError(f"{self.defense} needs n_clients >= defense.f + 3 (got {n}, f={p.f})")
@@ -120,41 +127,86 @@ def _child_seed(seed: int, *tags) -> int:
     return int(np.random.SeedSequence(ent).generate_state(1)[0])
 
 
-def _build_corpus(cfg: ExperimentConfig) -> data_mod.Corpus:
-    if cfg.data.source == "synth":
-        return data_mod.synth_corpus(cfg.data, _child_seed(cfg.seed, "corpus"))
+@dataclass(frozen=True)
+class _RunData:
+    """A run's inputs, a pure function of the data config (and the AG News
+    files it names), the cohort size and the seed. Every array is read-only,
+    so the runs that share them cannot change each other's inputs."""
+
+    client_data: tuple[tuple[np.ndarray, np.ndarray], ...]  # (X, clean y) per client
+    client_y_flipped: tuple[np.ndarray, ...]
+    sizes: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+    X_asr: np.ndarray
+    class_count: int
+
+
+# the last data set built, under its key; one slot, emptied before a build, so
+# a process never holds two data sets
+_DATA_SLOT: dict[tuple, _RunData] = {}
+
+
+def _data_key(cfg: ExperimentConfig) -> tuple:
+    key = (dataclasses.astuple(cfg.data), cfg.n_clients, cfg.seed)
     if cfg.data.source == "agnews":
-        return data_mod.load_agnews_csv(cfg.data.agnews_train, cfg.data.agnews_test)
-    raise ValueError(f"unknown data source {cfg.data.source!r}")
+        # an edited CSV is read again
+        stats = [os.stat(p) for p in (cfg.data.agnews_train, cfg.data.agnews_test)]
+        key += tuple((st.st_size, st.st_mtime_ns) for st in stats)
+    return key
+
+
+def _build_run_data(cfg: ExperimentConfig) -> _RunData:
+    dc = cfg.data
+    if dc.source == "agnews":
+        corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
+    else:
+        corpus = data_mod.synth_corpus(dc, _child_seed(cfg.seed, "corpus"))
+    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, _child_seed(cfg.seed, "partition"))
+    fseed = _child_seed(cfg.seed, "hash")
+    # flipping changes labels only, so each client keeps one feature matrix
+    # with its clean labels and, alongside, its flipped labels
+    client_data, client_y_flipped = [], []
+    for idx in parts:
+        part = [corpus.train[i] for i in idx]
+        client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
+        flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
+        client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
+    X_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
+    subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
+    X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
+    sizes = np.array([len(idx) for idx in parts], dtype=float)
+    for a in (sizes, X_test, y_test, X_asr, *client_y_flipped, *(v for xy in client_data for v in xy)):
+        a.flags.writeable = False
+    return _RunData(
+        client_data=tuple(client_data),
+        client_y_flipped=tuple(client_y_flipped),
+        sizes=sizes,
+        X_test=X_test,
+        y_test=y_test,
+        X_asr=X_asr,
+        class_count=corpus.class_count,
+    )
+
+
+def _run_data(cfg: ExperimentConfig) -> _RunData:
+    """The run's data set: the slot's when its key matches, else built anew."""
+    key = _data_key(cfg)
+    if key not in _DATA_SLOT:
+        _DATA_SLOT.clear()
+        _DATA_SLOT[key] = _build_run_data(cfg)
+    return _DATA_SLOT[key]
 
 
 class _RunState:
-    """Everything the round loop carries between rounds."""
+    """Everything the round loop carries between rounds, and the shared
+    read-only data it trains and evaluates on."""
 
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
         self.cfg = cfg
-        corpus = _build_corpus(cfg)
-        dc = cfg.data
-        parts = data_mod.partition_noniid(
-            corpus, cfg.n_clients, dc.alpha, _child_seed(cfg.seed, "partition")
-        )
-        fseed = _child_seed(cfg.seed, "hash")
-        # flipping changes labels only, so each client keeps one feature
-        # matrix with its clean labels and, alongside, its flipped labels
-        self.client_data = []
-        self.client_y_flipped = []
-        for idx in parts:
-            part = [corpus.train[i] for i in idx]
-            self.client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
-            flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
-            self.client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
-        self.sizes = np.array([len(idx) for idx in parts], dtype=float)
-        self.X_test, self.y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
-        subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
-        self.X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
-        self.class_count = corpus.class_count
-        self.params = model_mod.init_params(dc.hash_dim, corpus.class_count)
+        self.data = data = _run_data(cfg)
+        self.params = model_mod.init_params(cfg.data.hash_dim, data.class_count)
         self.prev_aggregate: Optional[np.ndarray] = None
         # benign update matrices of the rounds before the VGAE is fit (grmp only)
         self.history: list[np.ndarray] = []
@@ -164,22 +216,21 @@ class _RunState:
         # the clients holding the most flippable (triggered src-class) examples;
         # ties break toward the higher client id
         flippable = [
-            int(np.sum(self.client_data[i][1] != self.client_y_flipped[i]))
-            for i in range(cfg.n_clients)
+            int(np.sum(y != y_flip)) for (_, y), y_flip in zip(data.client_data, data.client_y_flipped)
         ]
         order = sorted(range(cfg.n_clients), key=lambda i: (flippable[i], i), reverse=True)
         self.attacker_ids = sorted(order[: cfg.n_attackers])
         # the coordinated adversary's pooled local data, clean and flipped
         if cfg.n_attackers > 0:
-            self.X_att = np.concatenate([self.client_data[i][0] for i in self.attacker_ids])
-            self.y_att = np.concatenate([self.client_data[i][1] for i in self.attacker_ids])
-            self.y_att_flip = np.concatenate([self.client_y_flipped[i] for i in self.attacker_ids])
+            self.X_att = np.concatenate([data.client_data[i][0] for i in self.attacker_ids])
+            self.y_att = np.concatenate([data.client_data[i][1] for i in self.attacker_ids])
+            self.y_att_flip = np.concatenate([data.client_y_flipped[i] for i in self.attacker_ids])
 
 
 def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
     cfg = state.cfg
     return model_mod.local_train(
-        state.params, X, y, state.class_count, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
+        state.params, X, y, state.data.class_count, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
     )
 
 
@@ -219,12 +270,12 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     # one submission per client: in an exploit round a naive_flip attacker
     # trains on its flipped labels and a grmp attacker's row is crafted below
     deltas: list[Optional[np.ndarray]] = []
-    for i, (X, y) in enumerate(state.client_data):
+    for i, (X, y) in enumerate(state.data.client_data):
         if exploit and i in state.attacker_ids:
             if cfg.attack == "grmp":
                 deltas.append(None)
                 continue
-            y = state.client_y_flipped[i]
+            y = state.data.client_y_flipped[i]
         seed = _child_seed(cfg.seed, "train", round_idx, i)
         deltas.append(_local_delta(state, X, y, cfg.local_epochs, seed))
     benign_now = np.stack([d for i, d in enumerate(deltas) if i not in state.attacker_ids])
@@ -266,7 +317,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         if cfg.defense == "cosine_filter" and np.linalg.norm(reference) == 0.0:
             raise DefenseError("reference direction has zero norm")
         report = defense_mod.apply_defense(
-            cfg.defense, updates, state.sizes, per_client_cosine, cfg.defense_params
+            cfg.defense, updates, state.data.sizes, per_client_cosine, cfg.defense_params
         )
     except DefenseError:
         defense_error = True
@@ -286,10 +337,11 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
         state.history.append(benign_now)
 
+    data = state.data
     return RoundRecord(
         round=round_idx,
-        accuracy=model_mod.evaluate_accuracy(state.params, state.X_test, state.y_test, state.class_count),
-        asr=model_mod.evaluate_asr(state.params, state.X_asr, cfg.data.dst_class, state.class_count),
+        accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data.class_count),
+        asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data.class_count),
         per_client_cosine=per_client_cosine,
         threshold=report.threshold,
         accepted=list(map(bool, report.accepted)),

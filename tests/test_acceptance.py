@@ -304,10 +304,10 @@ def test_criterion_7_norm_outlier_contained():
         state = sim._RunState(cfg)
         deltas = np.stack([
             model.local_train(
-                state.params, X, y, state.class_count, cfg.local_epochs,
+                state.params, X, y, state.data.class_count, cfg.local_epochs,
                 cfg.lr, cfg.batch_size, sim._child_seed(seed, "train", 1, i),
             )
-            for i, (X, y) in enumerate(state.client_data)
+            for i, (X, y) in enumerate(state.data.client_data)
         ])
         attackers = list(state.attacker_ids)
         deltas[attackers] *= 100.0

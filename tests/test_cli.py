@@ -117,6 +117,8 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("data.hash_dim = 100\n", "data.hash_dim must be a power of two"),
         ("data.trigger_rate = 0\n", "data.trigger_rate must be in (0, 1]"),
         ("data.triggers = gold, Silver\n", "data.triggers: 'Silver' is not a token"),
+        ("data.source = csv\n", "data.source must be 'synth' or 'agnews'"),
+        ("data.train_per_class = 1\n", "n_clients must be <= 4 * data.train_per_class on synth data"),
     ]:
         cfg_path = _write_tiny(tmp_path, extra)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1

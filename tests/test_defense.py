@@ -99,6 +99,28 @@ def test_krum_matches_oracle(seed):
     assert idx == int(np.argmin(oracle))
 
 
+def krum_rows_oracle(updates, f):
+    """krum scores from one full row of squared distances per client."""
+    k = len(updates) - f - 2
+    scores = np.empty(len(updates))
+    for i in range(len(updates)):
+        d2 = np.sum((updates - updates[i]) ** 2, axis=1)
+        scores[i] = np.sort(np.delete(d2, i))[:k].sum()
+    return scores
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_krum_scores_bit_identical_to_row_at_a_time(seed):
+    # each pair's distance is computed once and mirrored: (a-b)^2 == (b-a)^2
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 41))
+    u = rng.standard_normal((n, int(rng.integers(1, 300)))) * 10.0 ** rng.uniform(-3, 3)
+    dup = rng.integers(n, size=(2, int(rng.integers(0, 3))))
+    u[dup[0]] = u[dup[1]]
+    f = int(rng.integers(0, n - 2))
+    assert np.array_equal(defense.krum_scores(u, f), krum_rows_oracle(u, f))
+
+
 def test_krum_needs_enough_clients():
     with pytest.raises(defense.DefenseError):
         defense.krum(_updates(0, n=3), f=1)

@@ -4,6 +4,7 @@ round-tripping, run-directory artifacts."""
 import numpy as np
 import pytest
 
+from fedpoison import data as data_mod
 from fedpoison import defense, grmp, model, sim
 
 
@@ -65,14 +66,20 @@ def test_config_validate_errors():
         ("train_per_class", 0, "data.train_per_class must be >= 1"),
         ("test_per_class", 0, "data.test_per_class must be >= 1"),
         ("vocab_per_class", 0, "data.vocab_per_class must be >= 1"),
+        ("source", "csv", "data.source must be 'synth' or 'agnews'"),
+        # 4 * 1 synth train examples for 6 clients
+        ("train_per_class", 1, r"n_clients must be <= 4 \* data.train_per_class on synth data \(got 6,"),
     ]:
         cfg = tiny_cfg()
         setattr(cfg.data, field_name, value)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
-    # the trigger rate only shapes the synthetic corpus
+    # the trigger rate and the train size only shape the synthetic corpus
     cfg = tiny_cfg()
-    cfg.data.source, cfg.data.trigger_rate = "agnews", 0.0
+    cfg.data.source, cfg.data.trigger_rate, cfg.data.train_per_class = "agnews", 0.0, 1
+    cfg.validate()
+    cfg = tiny_cfg()
+    cfg.data.train_per_class = 2  # 8 train examples, one each for 6 clients
     cfg.validate()
     # defense parameters with which no round can run (n_clients=6)
     for defense_name, params, message in [
@@ -219,13 +226,13 @@ def test_round_one_fedavg_matches_manual_reconstruction():
     state = sim._RunState(cfg)
     deltas = np.stack([
         model.local_train(
-            np.zeros_like(state.params), X, y, state.class_count,
+            np.zeros_like(state.params), X, y, state.data.class_count,
             cfg.local_epochs, cfg.lr, cfg.batch_size,
             sim._child_seed(cfg.seed, "train", 1, i),
         )
-        for i, (X, y) in enumerate(state.client_data)
+        for i, (X, y) in enumerate(state.data.client_data)
     ])
-    expect = defense.fedavg(deltas, state.sizes)
+    expect = defense.fedavg(deltas, state.data.sizes)
     assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
     assert np.allclose(res.final_params, expect, atol=1e-12)
 
@@ -267,12 +274,113 @@ def test_agnews_source_runs(tmp_path):
     cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     res = sim.run_experiment(cfg)
     assert [r.round for r in res.records] == [1, 2]
-    assert sim._RunState(cfg).sizes.sum() == 4 * 15
+    assert sim._RunState(cfg).data.sizes.sum() == 4 * 15
     assert np.all(np.isfinite(res.final_params))
     assert np.linalg.norm(res.final_params) > 0
     for rec in res.records:
         assert 0.0 <= rec.accuracy <= 1.0 and 0.0 <= rec.asr <= 1.0
         assert not rec.defense_error
+
+
+# ---------------------------------------------------------------------------
+# one read-only data set per (data config, n_clients, seed)
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Empties the data slot and counts the data-building calls from here on."""
+    monkeypatch.setattr(sim, "_DATA_SLOT", {})
+    counts = {"synth_corpus": 0, "featurize_all": 0, "load_agnews_csv": 0}
+    for name in counts:
+        real = getattr(data_mod, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(data_mod, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("other", [{"defense": "krum"}, {"attack": "grmp"}, {"n_attackers": 1}])
+def test_runs_sharing_the_data_config_build_it_once(builds, other):
+    cfg = tiny_cfg(attack="naive_flip")
+    sim.run_experiment(cfg)
+    sim.run_experiment(tiny_cfg(**{"attack": "naive_flip", **other}))
+    # one featurize_all per client, one for the test set and one for the ASR subset
+    assert builds == {"synth_corpus": 1, "featurize_all": cfg.n_clients + 2, "load_agnews_csv": 0}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "seed", 6),
+    (None, "n_clients", 5),
+    ("data", "alpha", 0.9),
+    ("data", "hash_dim", 32),
+])
+def test_a_new_data_key_builds_again(builds, section, key, value):
+    sim.run_experiment(tiny_cfg())
+    cfg = tiny_cfg()
+    setattr(getattr(cfg, section) if section else cfg, key, value)
+    sim.run_experiment(cfg)
+    assert builds["synth_corpus"] == 2
+    assert list(sim._DATA_SLOT) == [sim._data_key(cfg)]
+
+
+def test_slot_is_emptied_before_a_build(builds, monkeypatch):
+    sim.run_experiment(tiny_cfg())
+    seen = []
+    real = data_mod.synth_corpus
+
+    def spy(*args, **kwargs):
+        seen.append(dict(sim._DATA_SLOT))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "synth_corpus", spy)
+    sim.run_experiment(tiny_cfg(seed=6))
+    # the old data set was let go before the new one was built
+    assert seen == [{}]
+    assert len(sim._DATA_SLOT) == 1
+
+
+@pytest.mark.parametrize("between", [{"attack": "grmp"}, {"seed": 6}])
+def test_warm_run_equals_cold_run(builds, monkeypatch, tmp_path, between):
+    # A, B, A in one process: the second A's files match a cold run of A
+    a = dict(attack="naive_flip", defense="krum")
+    sim.run_experiment(tiny_cfg(**a))
+    sim.run_experiment(tiny_cfg(**{**a, **between}))
+    sim.write_run_dir(sim.run_experiment(tiny_cfg(**a)), str(tmp_path / "again"))
+    monkeypatch.setattr(sim, "_DATA_SLOT", {})
+    sim.write_run_dir(sim.run_experiment(tiny_cfg(**a)), str(tmp_path / "cold"))
+    for name in ("rounds.csv", "scores.csv", "attack_trace.jsonl", "model.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def test_cached_arrays_are_read_only(builds):
+    state = sim._RunState(tiny_cfg())
+    d = state.data
+    arrays = [d.sizes, d.X_test, d.y_test, d.X_asr, *d.client_y_flipped]
+    arrays += [a for xy in d.client_data for a in xy]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # the attackers' pooled arrays are the run's own copies
+    for a in (state.X_att, state.y_att, state.y_att_flip):
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_agnews_csv(train, per_class=15, seed=0)
+    _write_agnews_csv(test, per_class=4, seed=1)
+    cfg = tiny_cfg(attack="naive_flip", rounds=1)
+    cfg.data.source = "agnews"
+    cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
+    assert sim._RunState(cfg).data.sizes.sum() == 4 * 15
+    sim.run_experiment(cfg)
+    assert builds["load_agnews_csv"] == 1
+    _write_agnews_csv(train, per_class=16, seed=0)
+    assert sim._RunState(cfg).data.sizes.sum() == 4 * 16
+    assert builds["load_agnews_csv"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +390,7 @@ def test_attacker_ids_hold_most_flippable_data():
     cfg = tiny_cfg()
     state = sim._RunState(cfg)
     flippable = [
-        int(np.sum(state.client_data[i][1] != state.client_y_flipped[i]))
+        int(np.sum(state.data.client_data[i][1] != state.data.client_y_flipped[i]))
         for i in range(cfg.n_clients)
     ]
     others = [flippable[i] for i in range(cfg.n_clients) if i not in state.attacker_ids]
