@@ -20,9 +20,11 @@ def init_params(hash_dim: int, class_count: int) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax over the last axis, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def predict_proba(params: np.ndarray, X: np.ndarray, class_count: int) -> np.ndarray:
@@ -30,6 +32,23 @@ def predict_proba(params: np.ndarray, X: np.ndarray, class_count: int) -> np.nda
     if W.shape[1] != X.shape[1]:
         raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
     return _softmax(X @ W.T)
+
+
+def _grad(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy gradients of k stacked weight matrices W (k x C x D)
+    on the rows X (b x D), copy i with the labels y[i] (y is k x b); returns
+    the gradients (k x C x D) and each copy's probabilities of its labels
+    (k x b). Each product is one matmul per copy, the one a single copy gets,
+    so every copy gets the bits of its own call."""
+    if W.shape[2] != X.shape[1]:
+        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[2]}")
+    P = _softmax(X @ W.transpose(0, 2, 1))
+    at = (np.arange(len(W))[:, None], np.arange(len(X)), y)
+    p_y = P[at]
+    P[at] = p_y - 1.0
+    G = P.transpose(0, 2, 1) @ X
+    G /= len(X)
+    return G, p_y
 
 
 def loss_and_grad(
@@ -42,12 +61,9 @@ def loss_and_grad(
     """Mean cross-entropy and its analytic gradient in the flat layout."""
     if len(X) == 0:
         raise ValueError("empty batch")
-    P = predict_proba(params, X, class_count)
-    n = len(y)
-    loss = -float(np.mean(np.log(P[np.arange(n), y] + 1e-300)))
-    G = P.copy()
-    G[np.arange(n), y] -= 1.0
-    grad = (G.T @ X / n).ravel()
+    G, p_y = _grad(params.reshape(1, class_count, -1), X, y[None])
+    loss = -float(np.mean(np.log(p_y + 1e-300)))
+    grad = G.ravel()
     if weight_decay:
         loss += 0.5 * weight_decay * float(params @ params)
         grad = grad + weight_decay * params
@@ -65,21 +81,33 @@ def local_train(
     seed: int,
     weight_decay: float = 0.0,
 ) -> np.ndarray:
-    """Mini-batch SGD from a copy of global_params; returns trained - global."""
+    """Mini-batch SGD from a copy of global_params; returns trained - global.
+
+    y holds one label per row, or k label sets as a k x n array: the k copies
+    then train in lockstep over one batch order, and row i of the returned
+    k x D deltas equals the delta of a call with y[i] alone.
+    """
     if len(X) == 0:
         raise ValueError("empty local dataset")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    Y = np.atleast_2d(y)
+    if Y.ndim != 2 or Y.shape[1] != len(X):
+        raise ValueError(f"labels of shape {np.shape(y)} for {len(X)} rows")
     rng = np.random.default_rng(seed)
-    w = global_params.copy()
+    W = np.tile(global_params, (len(Y), 1)).reshape(len(Y), class_count, -1)
     n = len(X)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, g = loss_and_grad(w, X[idx], y[idx], class_count, weight_decay)
-            w -= lr * g
-    return w - global_params
+            G, _ = _grad(W, X[idx], Y[:, idx])
+            if weight_decay:
+                G += weight_decay * W
+            G *= lr
+            W -= G
+    delta = W.reshape(len(Y), -1) - global_params
+    return delta if np.ndim(y) == 2 else delta[0]
 
 
 def evaluate_accuracy(params: np.ndarray, X: np.ndarray, y: np.ndarray, class_count: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -47,8 +48,6 @@ class ExperimentConfig:
     grmp: GrmpConfig = field(default_factory=GrmpConfig)
 
     def validate(self) -> None:
-        if self.n_attackers >= self.n_clients:
-            raise ValueError("n_attackers must be < n_clients")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 1 <= self.phase_switch_round <= self.rounds + 1:
@@ -70,6 +69,14 @@ class ExperimentConfig:
         d, p, n = self.data, self.defense_params, self.n_clients
         # written so that a NaN fails too
         for key, ok, want in (
+            ("n_clients", n >= 1, ">= 1"),
+            ("n_attackers", self.n_attackers >= 0, ">= 0"),
+            ("local_epochs", self.local_epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", math.isfinite(self.lr), "finite"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("grmp.poison_epochs", self.grmp.poison_epochs >= 1, ">= 1"),
+            ("grmp.dual_steps", self.grmp.dual_steps >= 1, ">= 1"),
             ("data.source", d.source in ("synth", "agnews"), "'synth' or 'agnews'"),
             ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
             ("data.alpha", d.alpha > 0, "> 0"),
@@ -86,6 +93,8 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must be {want}")
+        if self.n_attackers >= n:
+            raise ValueError("n_attackers must be < n_clients")
         # every client needs a train example, and a synth train set has this many
         if d.source == "synth" and n > data_mod.N_CLASSES * d.train_per_class:
             raise ValueError(
@@ -287,9 +296,12 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             if state.prev_aggregate is not None
             else benign_now.mean(axis=0)
         )
-        epochs, pseed = cfg.grmp.poison_epochs, _child_seed(cfg.seed, "poison", round_idx)
-        flipped = _local_delta(state, state.X_att, state.y_att_flip, epochs, pseed)
-        raw_poison = flipped - _local_delta(state, state.X_att, state.y_att, epochs, pseed)
+        # the poison direction: flipped-label training minus clean training
+        # on the same rows and batch order, both copies in one lockstep pass
+        labels = np.stack([state.y_att_flip, state.y_att])
+        pseed = _child_seed(cfg.seed, "poison", round_idx)
+        flipped, clean = _local_delta(state, state.X_att, labels, cfg.grmp.poison_epochs, pseed)
+        raw_poison = flipped - clean
         crafted, trace = grmp_mod.craft_with_trace(
             benign_now,
             raw_poison,

@@ -119,6 +119,13 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("data.triggers = gold, Silver\n", "data.triggers: 'Silver' is not a token"),
         ("data.source = csv\n", "data.source must be 'synth' or 'agnews'"),
         ("data.train_per_class = 1\n", "n_clients must be <= 4 * data.train_per_class on synth data"),
+        # and training parameters that would run a wrong experiment or none
+        ("n_attackers = -1\n", "n_attackers must be >= 0"),
+        ("n_clients = 0\n", "n_clients must be >= 1"),
+        ("batch_size = 0\n", "batch_size must be >= 1"),
+        ("lr = nan\n", "lr must be finite"),
+        ("weight_decay = nan\n", "weight_decay must be finite and >= 0"),
+        ("grmp.poison_epochs = 0\n", "grmp.poison_epochs must be >= 1"),
     ]:
         cfg_path = _write_tiny(tmp_path, extra)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1

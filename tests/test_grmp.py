@@ -432,6 +432,67 @@ def test_dual_search_deterministic():
         assert np.array_equal(a, b)
 
 
+def _dual_search_oracle(p, g, ref, floor, steps, step_size):
+    """The dual search written out from the public stages, synthesizing the
+    adjacency of every evaluation anew; also returns those adjacencies."""
+    mu0, _ = grmp.vgae_encode(p, g)
+    decomp = grmp.gsp_decompose(g)
+    w = grmp._recon_weight(g.A)
+    visited = []
+
+    def evaluate(Z):
+        A_hat = grmp.vgae_decode(Z)
+        A_adv = grmp.threshold_adjacency(A_hat)
+        visited.append(A_adv.tobytes())
+        return Z, A_hat, A_adv, grmp.gsp_synthesize(decomp, A_adv), grmp.recon_bce(A_hat, g.A)
+
+    Z, lam, best = mu0, 0.0, None
+    for t in range(steps):
+        it = evaluate(Z)
+        _, A_hat, _, X_syn, recon = it
+        c = cosine(X_syn.mean(axis=0), ref)
+        if t == 0:
+            recon_initial = recon
+        if c >= floor - 0.05 and (best is None or recon > best[4]):
+            best = it
+        grad = grmp._recon_grad_wrt_Z(A_hat, g.A, Z, w)
+        viol = max(0.0, floor - c)
+        if viol > 0.0 and lam > 0.0:
+            pull = mu0 - Z
+            norm = np.linalg.norm(pull)
+            if norm > 0:
+                grad = grad + lam * viol * pull / norm
+        Z = Z + step_size * grad
+        lam = max(0.0, lam + step_size * (floor - c))
+    Z, A_hat, A_adv, X_syn, recon = best if best is not None else evaluate(Z)
+    return (Z, lam, A_hat, A_adv, X_syn, recon, recon_initial), visited
+
+
+# at seeds 5, 10 and 13 some searches visit distinct adjacencies with equal
+# edge counts
+@pytest.mark.parametrize("seed", [0, 5, 10, 13])
+@pytest.mark.parametrize("floor", [-1.0, 0.3, 1.0])
+def test_dual_search_synthesizes_each_adjacency_once(monkeypatch, seed, floor):
+    # the search keeps each distinct adjacency's synthesized rows and their
+    # cosine, and returns the bits of a search that synthesizes at every step
+    g, p, ref = _search_setup(seed)
+    want, visited = _dual_search_oracle(p, g, ref, floor, 40, 0.05)
+    synthesized = []
+    real = grmp.gsp_synthesize
+
+    def spy(decomp, A_adv):
+        synthesized.append(A_adv.tobytes())
+        return real(decomp, A_adv)
+
+    monkeypatch.setattr(grmp, "gsp_synthesize", spy)
+    got = grmp.lagrange_dual_search(p, g, ref, floor, 40, 0.05)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert sorted(synthesized) == sorted(set(visited))
+    assert len(synthesized) < len(visited)
+
+
 def test_dual_search_validates():
     g, p, ref = _search_setup(2)
     with pytest.raises(ValueError):
@@ -505,7 +566,8 @@ def test_craft_postconditions_and_trace():
 def test_craft_runs_each_stage_once(monkeypatch, floor, fallback):
     # the dual search hands its chosen iterate over, so a craft encodes and
     # decomposes the benign graph once and evaluates each dual step once, plus
-    # the final latent when no step met the floor (floor 1.0 here)
+    # the final latent when no step met the floor (floor 1.0 here); it
+    # synthesizes each distinct adjacency it visits once
     rng = np.random.default_rng(9)
     benign = rng.standard_normal((5, 12))
     ref = rng.standard_normal(12)
@@ -513,19 +575,23 @@ def test_craft_runs_each_stage_once(monkeypatch, floor, fallback):
     cfg = grmp.GrmpConfig(dual_steps=25, vgae_epochs=30, hidden=6, latent=3)
     g = grmp.build_update_graph(benign, cfg.tau_edge)
     params = grmp.fit_vgae([g], cfg.hidden, cfg.latent, cfg.vgae_epochs, cfg.vgae_lr, 0)
-    calls = {}
+    calls, adjacencies = {}, set()
     for name in ("vgae_encode", "gsp_decompose", "gsp_synthesize",
                  "vgae_decode", "threshold_adjacency", "recon_bce"):
         def spy(*args, _name=name, _real=getattr(grmp, name)):
             calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args)
+            out = _real(*args)
+            if _name == "threshold_adjacency":
+                adjacencies.add(out.tobytes())
+            return out
         monkeypatch.setattr(grmp, name, spy)
     grmp.craft_with_trace(benign, poison, ref, floor, cfg, params)
     per_step = cfg.dual_steps + fallback
     assert calls == {
-        "vgae_encode": 1, "gsp_decompose": 1, "gsp_synthesize": per_step,
+        "vgae_encode": 1, "gsp_decompose": 1, "gsp_synthesize": len(adjacencies),
         "vgae_decode": per_step, "threshold_adjacency": per_step, "recon_bce": per_step,
     }
+    assert len(adjacencies) < per_step
 
 
 def test_craft_poison_direction_survives():

@@ -29,6 +29,28 @@ def fd_gradient(params, X, y, k, wd=0.0, h=1e-5):
     return g
 
 
+def sgd_oracle(params, X, y, k, epochs, lr, batch_size, seed, wd=0.0):
+    """Mini-batch SGD with each step's gradient written out: softmax
+    probabilities minus the one-hot labels, times the batch over its size,
+    plus the decay term."""
+    rng = np.random.default_rng(seed)
+    w = params.copy()
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), batch_size):
+            idx = order[start:start + batch_size]
+            Xb, yb = X[idx], y[idx]
+            logits = Xb @ w.reshape(k, -1).T
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            G = e / e.sum(axis=1, keepdims=True)
+            G[np.arange(len(idx)), yb] -= 1.0
+            g = (G.T @ Xb / len(idx)).ravel()
+            if wd:
+                g = g + wd * w
+            w -= lr * g
+    return w - params
+
+
 # ---------------------------------------------------------------------------
 # loss & gradient
 
@@ -101,6 +123,32 @@ def test_local_train_deterministic_and_leaves_input_alone():
     assert np.array_equal(params, before)
 
 
+# (n, d, batch_size, weight_decay): ragged last batches, one batch of exactly
+# n rows or more than n, decay on and off, and a desk-sized instance
+_SGD_CASES = [(13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01)]
+
+
+@pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
+def test_local_train_equals_the_written_out_sgd(n, d, batch_size, wd):
+    X, y, params, k = _instance(10, n=n, d=d)
+    for seed in range(3):
+        want = sgd_oracle(params, X, y, k, 4, 0.3, batch_size, seed, wd)
+        got = model.local_train(params, X, y, k, 4, 0.3, batch_size, seed, wd)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
+def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, batch_size, wd):
+    X, _, params, k = _instance(11, n=n, d=d)
+    Y = np.random.default_rng(copies).integers(0, k, size=(copies, n))
+    args = (k, 3, 0.3, batch_size, 7, wd)
+    stacked = model.local_train(params, X, Y, *args)
+    assert stacked.shape == (copies, params.size)
+    for i in range(copies):
+        assert np.array_equal(stacked[i], model.local_train(params, X, Y[i], *args))
+
+
 def test_local_train_decreases_loss():
     X, y, params, k = _instance(8, n=60)
     delta = model.local_train(params, X, y, k, epochs=5, lr=0.3, batch_size=16, seed=1)
@@ -115,6 +163,10 @@ def test_local_train_validates():
         model.local_train(params, X[:0], y[:0], k, 1, 0.1, 4, 0)
     with pytest.raises(ValueError):
         model.local_train(params, X, y, k, 0, 0.1, 4, 0)
+    # one label per row, in one label set or several
+    for bad in (y[:-1], np.stack([y, y])[:, :-1], y[None, None]):
+        with pytest.raises(ValueError, match="labels of shape"):
+            model.local_train(params, X, bad, k, 1, 0.1, 4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,28 @@ def test_config_validate_errors():
         setattr(cfg.data, field_name, value)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+    # training and attack parameters with which no run can start
+    for field_name, value, message in [
+        ("n_clients", 0, "n_clients must be >= 1"),
+        ("n_attackers", -1, "n_attackers must be >= 0"),
+        ("local_epochs", 0, "local_epochs must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("lr", float("nan"), "lr must be finite"),
+        ("lr", float("inf"), "lr must be finite"),
+        ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
+        ("weight_decay", -0.1, "weight_decay must be finite and >= 0"),
+        ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tiny_cfg(**{field_name: value}).validate()
+    for field_name, value, message in [
+        ("poison_epochs", 0, "grmp.poison_epochs must be >= 1"),
+        ("dual_steps", 0, "grmp.dual_steps must be >= 1"),
+    ]:
+        cfg = tiny_cfg(attack="grmp")
+        setattr(cfg.grmp, field_name, value)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
     # data parameters with which no run can start
     for field_name, value, message in [
         ("triggers", ("gold", " Silver"), r"data.triggers: ' Silver' is not a token"),
@@ -162,8 +184,9 @@ def test_stealth_rounds_match_clean_run():
     ("none", {"client": 6}),
     ("naive_flip", {"client": 6}),
     # the two grmp attackers are not trained: their row is crafted from the
-    # poison direction, distilled by two calls on their pooled data
-    ("grmp", {"client": 4, "poison": 2}),
+    # poison direction, distilled by one call that trains on their pooled
+    # data with flipped and with clean labels in lockstep
+    ("grmp", {"client": 4, "poison": 1}),
 ])
 def test_local_train_calls_per_round(monkeypatch, attack, exploit_calls):
     cfg = tiny_cfg(attack=attack)  # 3 rounds, 2 of 6 clients attack from round 2
@@ -221,20 +244,21 @@ def test_vgae_not_fit_without_grmp(monkeypatch, attack):
 # aggregation identity
 
 def test_round_one_fedavg_matches_manual_reconstruction():
-    cfg = tiny_cfg(defense="fedavg", rounds=1, phase_switch_round=2)
-    res = sim.run_experiment(cfg)
-    state = sim._RunState(cfg)
-    deltas = np.stack([
-        model.local_train(
-            np.zeros_like(state.params), X, y, state.data.class_count,
-            cfg.local_epochs, cfg.lr, cfg.batch_size,
-            sim._child_seed(cfg.seed, "train", 1, i),
-        )
-        for i, (X, y) in enumerate(state.data.client_data)
-    ])
-    expect = defense.fedavg(deltas, state.data.sizes)
-    assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
-    assert np.allclose(res.final_params, expect, atol=1e-12)
+    for weight_decay in (0.0, 0.05):
+        cfg = tiny_cfg(defense="fedavg", rounds=1, phase_switch_round=2, weight_decay=weight_decay)
+        res = sim.run_experiment(cfg)
+        state = sim._RunState(cfg)
+        deltas = np.stack([
+            model.local_train(
+                np.zeros_like(state.params), X, y, state.data.class_count,
+                cfg.local_epochs, cfg.lr, cfg.batch_size,
+                sim._child_seed(cfg.seed, "train", 1, i), weight_decay,
+            )
+            for i, (X, y) in enumerate(state.data.client_data)
+        ])
+        expect = defense.fedavg(deltas, state.data.sizes)
+        assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
+        assert np.allclose(res.final_params, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("rule, error", [("cosine_filter", True), ("fedavg", False)])
