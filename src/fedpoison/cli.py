@@ -26,25 +26,24 @@ class ConfigError(Exception):
     pass
 
 
+# scenario -> {output subdirectory: config overrides}; "" writes into --out itself
 SCENARIOS = {
-    "baseline_clean": [{"attack": "none"}],
-    "naive_vs_each_defense": [
-        {"attack": "naive_flip", "defense": d, "_name": d} for d in defense.DEFENSES
-    ],
-    "grmp_vs_cosine": [
-        {"attack": "grmp", "defense": "cosine_filter", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
-    ],
-    "grmp_vs_krum": [
-        {"attack": "grmp", "defense": "krum", "defense.f": "2", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
-    ],
-    "sweep_lambda": [
-        {"attack": "grmp", "defense": "cosine_filter", "defense.lambda": str(v), "_name": f"lambda_{v}"}
+    "baseline_clean": {"": {"attack": "none"}},
+    "naive_vs_each_defense": {d: {"attack": "naive_flip", "defense": d} for d in defense.DEFENSES},
+    "grmp_vs_cosine": {
+        "": {"attack": "grmp", "defense": "cosine_filter", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
+    },
+    "grmp_vs_krum": {
+        "": {"attack": "grmp", "defense": "krum", "defense.f": "2", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
+    },
+    "sweep_lambda": {
+        f"lambda_{v}": {"attack": "grmp", "defense": "cosine_filter", "defense.lambda": str(v)}
         for v in (0.5, 1.0, 1.5, 2.0)
-    ],
-    "sweep_alpha": [
-        {"attack": "grmp", "defense": "cosine_filter", "data.alpha": str(v), "_name": f"alpha_{v}"}
+    },
+    "sweep_alpha": {
+        f"alpha_{v}": {"attack": "grmp", "defense": "cosine_filter", "data.alpha": str(v)}
         for v in (0.1, 0.5, 1.0, 100.0)
-    ],
+    },
 }
 
 
@@ -80,7 +79,7 @@ def parse_config(path: str | None, overrides: dict[str, object] | None = None) -
     """Resolve a config file plus overrides against the documented defaults."""
     flat = _read_flat_file(path) if path else {}
     if overrides:
-        flat.update({k: v for k, v in overrides.items() if not k.startswith("_")})
+        flat.update(overrides)
     try:
         return sim.config_from_flat(flat)
     except ValueError as exc:
@@ -101,14 +100,8 @@ def run_to_dir(cfg: sim.ExperimentConfig, out_dir: str) -> sim.ExperimentResult:
 def run_scenario(name: str, out_dir: str) -> None:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {', '.join(sorted(SCENARIOS))}")
-    variants = SCENARIOS[name]
-    if len(variants) == 1:
-        cfg = parse_config(None, variants[0])
-        run_to_dir(cfg, out_dir)
-    else:
-        for variant in variants:
-            cfg = parse_config(None, variant)
-            run_to_dir(cfg, os.path.join(out_dir, str(variant["_name"])))
+    for subdir, overrides in SCENARIOS[name].items():
+        run_to_dir(parse_config(None, overrides), os.path.join(out_dir, subdir))
 
 
 def emit_plotdata(run_dir: str) -> None:

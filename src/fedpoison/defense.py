@@ -23,7 +23,6 @@ class AggregationReport:
     scores: np.ndarray  # distance score or cosine similarity per update
     threshold: Optional[float] = None
     converged: bool = True
-    rule: str = ""
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -57,16 +56,10 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     return np.array([np.sort(np.delete(d2[i], i))[:k].sum() for i in range(n)])
 
 
-def krum(updates: np.ndarray, f: int) -> tuple[int, np.ndarray]:
-    """Index with the smallest sum of squared distances to its n-f-2 nearest
-    neighbors; ties break to the lowest index."""
-    scores = krum_scores(np.asarray(updates, dtype=float), f)
-    return int(np.argmin(scores)), scores
-
-
 def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The m updates with the lowest krum scores (ties to the lowest index),
-    their mean, and every update's score."""
+    their mean, and every update's score. Krum is multi-krum with m = 1
+    (Blanchard et al. 2017). A NaN score sorts last."""
     updates = np.asarray(updates, dtype=float)
     scores = krum_scores(updates, f)
     n = len(updates)
@@ -147,7 +140,6 @@ def cosine_threshold_filter(
         accepted=accepted,
         scores=scores,
         threshold=tau,
-        rule="cosine_filter",
     )
 
 
@@ -188,29 +180,21 @@ def apply_defense(
     """
     updates = np.asarray(updates, dtype=float)
     n = len(updates)
-    cos_scores = np.asarray(cosines, dtype=float)
+    scores = np.asarray(cosines, dtype=float)
+    if name == "cosine_filter":
+        return cosine_threshold_filter(updates, scores, params.lambda_)
+    accepted, converged = np.ones(n, bool), True
     if name == "fedavg":
         agg = fedavg(updates, weights)
-        return AggregationReport(agg, np.ones(n, bool), cos_scores, rule=name)
-    if name == "krum":
-        idx, scores = krum(updates, params.f)
-        mask = np.zeros(n, bool)
-        mask[idx] = True
-        return AggregationReport(updates[idx].copy(), mask, scores, rule=name)
-    if name == "multi_krum":
-        sel, agg, scores = multi_krum(updates, params.f, params.m)
-        mask = np.zeros(n, bool)
-        mask[sel] = True
-        return AggregationReport(agg, mask, scores, rule=name)
-    if name == "trimmed_mean":
+    elif name in ("krum", "multi_krum"):
+        selected, agg, scores = multi_krum(updates, params.f, 1 if name == "krum" else params.m)
+        accepted = np.isin(np.arange(n), selected)
+    elif name == "trimmed_mean":
         agg = trimmed_mean(updates, params.beta)
-        return AggregationReport(agg, np.ones(n, bool), cos_scores, rule=name)
-    if name == "coord_median":
+    elif name == "coord_median":
         agg = coord_median(updates)
-        return AggregationReport(agg, np.ones(n, bool), cos_scores, rule=name)
-    if name == "geometric_median":
-        agg, conv = geometric_median(updates, params.gm_tol, params.gm_max_iter)
-        return AggregationReport(agg, np.ones(n, bool), cos_scores, converged=conv, rule=name)
-    if name == "cosine_filter":
-        return cosine_threshold_filter(updates, cos_scores, params.lambda_)
-    raise DefenseError(f"unknown defense {name!r}")
+    elif name == "geometric_median":
+        agg, converged = geometric_median(updates, params.gm_tol, params.gm_max_iter)
+    else:
+        raise DefenseError(f"unknown defense {name!r}")
+    return AggregationReport(agg, accepted, scores, converged=converged)

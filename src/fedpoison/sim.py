@@ -66,7 +66,8 @@ class ExperimentConfig:
             # a trigger is matched against tokenized text
             if data_mod.tokenize(t) != (t,):
                 raise ValueError(f"data.triggers: {t!r} is not a token (tokenizes to {data_mod.tokenize(t)})")
-        d, p, n = self.data, self.defense_params, self.n_clients
+        d, p, g, n = self.data, self.defense_params, self.grmp, self.n_clients
+        agnews = d.source == "agnews"
         # written so that a NaN fails too
         for key, ok, want in (
             ("n_clients", n >= 1, ">= 1"),
@@ -75,8 +76,14 @@ class ExperimentConfig:
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("lr", math.isfinite(self.lr), "finite"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
-            ("grmp.poison_epochs", self.grmp.poison_epochs >= 1, ">= 1"),
-            ("grmp.dual_steps", self.grmp.dual_steps >= 1, ">= 1"),
+            ("grmp.tau_edge", math.isfinite(g.tau_edge), "finite"),
+            ("grmp.stealth_margin", math.isfinite(g.stealth_margin), "finite"),
+            ("grmp.gamma_blend", math.isfinite(g.gamma_blend), "finite"),
+            ("grmp.poison_epochs", g.poison_epochs >= 1, ">= 1"),
+            ("grmp.dual_steps", g.dual_steps >= 1, ">= 1"),
+            ("grmp.dual_step_size", math.isfinite(g.dual_step_size), "finite"),
+            ("grmp.vgae_epochs", g.vgae_epochs >= 0, ">= 0"),
+            ("grmp.vgae_lr", math.isfinite(g.vgae_lr), "finite"),
             ("data.source", d.source in ("synth", "agnews"), "'synth' or 'agnews'"),
             ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
             ("data.alpha", d.alpha > 0, "> 0"),
@@ -84,6 +91,8 @@ class ExperimentConfig:
             ("data.train_per_class", d.train_per_class >= 1, ">= 1"),
             ("data.test_per_class", d.test_per_class >= 1, ">= 1"),
             ("data.vocab_per_class", d.vocab_per_class >= 1, ">= 1"),
+            ("data.agnews_train", not agnews or os.path.isfile(d.agnews_train), "an existing file on agnews data"),
+            ("data.agnews_test", not agnews or os.path.isfile(d.agnews_test), "an existing file on agnews data"),
             ("defense.f", p.f >= 0, ">= 0"),
             ("defense.m", p.m >= 1, ">= 1"),
             ("defense.beta", p.beta >= 0, ">= 0"),
@@ -100,6 +109,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_clients must be <= {data_mod.N_CLASSES} * data.train_per_class on synth data "
                 f"(got {n}, train_per_class={d.train_per_class})"
+            )
+        # the VGAE's layer widths: latent <= hidden <= the update dimension
+        if self.attack == "grmp" and not 1 <= g.latent <= g.hidden <= data_mod.N_CLASSES * d.hash_dim:
+            raise ValueError(
+                f"grmp needs 1 <= grmp.latent <= grmp.hidden <= {data_mod.N_CLASSES} * data.hash_dim "
+                f"(got latent={g.latent}, hidden={g.hidden}, hash_dim={d.hash_dim})"
             )
         # parameters with which the configured rule can aggregate no round
         if self.defense in ("krum", "multi_krum") and n < p.f + 3:
@@ -338,7 +353,6 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             accepted=np.zeros(cfg.n_clients, dtype=bool),
             scores=np.array(per_client_cosine),
             threshold=None,
-            rule=cfg.defense,
         )
 
     if not defense_error:
@@ -447,14 +461,6 @@ def config_from_flat(flat: dict[str, object]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # run directory
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_run_dir(result: ExperimentResult, out_dir: str) -> None:
     """config.json + rounds.csv (wide) + scores.csv (long) + attack trace +
     final model checkpoint."""
@@ -470,25 +476,16 @@ def write_run_dir(result: ExperimentResult, out_dir: str) -> None:
         header += [f"cosine_{i}" for i in range(n)] + [f"accepted_{i}" for i in range(n)]
         w.writerow(header)
         for rec in result.records:
-            row = [
-                rec.round,
-                _fmt(rec.accuracy),
-                _fmt(rec.asr),
-                _fmt(rec.threshold),
-                _fmt(rec.aggregate_norm),
-                int(rec.defense_error),
-            ]
-            row += [_fmt(c) for c in rec.per_client_cosine]
-            row += [int(a) for a in rec.accepted]
-            w.writerow(row)
+            w.writerow([
+                rec.round, rec.accuracy, rec.asr, rec.threshold, rec.aggregate_norm, int(rec.defense_error),
+                *rec.per_client_cosine, *map(int, rec.accepted),
+            ])
     with open(os.path.join(out_dir, "scores.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["round", "client_id", "score", "threshold", "accepted"])
         for rec in result.records:
             for i in range(n):
-                w.writerow(
-                    [rec.round, i, _fmt(rec.per_client_cosine[i]), _fmt(rec.threshold), int(rec.accepted[i])]
-                )
+                w.writerow([rec.round, i, rec.per_client_cosine[i], rec.threshold, int(rec.accepted[i])])
     with open(os.path.join(out_dir, "attack_trace.jsonl"), "w", encoding="utf-8") as fh:
         for entry in result.attack_trace:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")

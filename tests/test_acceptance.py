@@ -120,7 +120,7 @@ def test_criterion_1_aggregation_oracles():
         d = int(rng.integers(1, 7))
         f = int(rng.integers(1, n - 2))
         u = rng.standard_normal((n, d))
-        idx, scores = defense.krum(u, f)
+        (idx,), _, scores = defense.multi_krum(u, f, 1)
         oracle = _krum_oracle(u, f)
         ok_krum = idx == int(np.argmin(oracle)) and np.allclose(scores, oracle, atol=1e-9)
         beta = int(rng.integers(0, (n - 1) // 2 + 1))
@@ -312,7 +312,7 @@ def test_criterion_7_norm_outlier_contained():
         attackers = list(state.attacker_ids)
         deltas[attackers] *= 100.0
         benign = np.delete(deltas, attackers, axis=0)
-        idx, _ = defense.krum(deltas, f=2)
+        (idx,), _, _ = defense.multi_krum(deltas, f=2, m=1)
         agg = defense.trimmed_mean(deltas, beta=2)
         lo, hi = benign.min(axis=0), benign.max(axis=0)
         inside = ((agg >= lo - 1e-12) & (agg <= hi + 1e-12)).all()

@@ -93,7 +93,7 @@ def test_krum_matches_oracle(seed):
     n = int(rng.integers(4, 9))
     f = int(rng.integers(1, n - 2))
     u = rng.standard_normal((n, int(rng.integers(1, 7))))
-    idx, scores = defense.krum(u, f)
+    (idx,), _, scores = defense.multi_krum(u, f, 1)
     oracle = krum_oracle(u, f)
     assert np.allclose(scores, oracle)
     assert idx == int(np.argmin(oracle))
@@ -123,7 +123,7 @@ def test_krum_scores_bit_identical_to_row_at_a_time(seed):
 
 def test_krum_needs_enough_clients():
     with pytest.raises(defense.DefenseError):
-        defense.krum(_updates(0, n=3), f=1)
+        defense.multi_krum(_updates(0, n=3), f=1, m=1)
 
 
 def test_krum_scores_memory_linear_in_n():
@@ -156,8 +156,8 @@ def test_multi_krum_m_bounds():
 
 def test_krum_scale_invariant_argmin():
     u = _updates(3, n=6)
-    i1, _ = defense.krum(u, 1)
-    i2, _ = defense.krum(3.7 * u, 1)
+    (i1,), _, _ = defense.multi_krum(u, 1, 1)
+    (i2,), _, _ = defense.multi_krum(3.7 * u, 1, 1)
     assert i1 == i2
 
 
@@ -283,6 +283,46 @@ def test_apply_defense_permutation_equivariant(name):
     assert np.allclose(r1.aggregate, r2.aggregate, atol=1e-9)
     assert np.array_equal(r1.accepted[perm], r2.accepted)
     assert np.allclose(r1.scores[perm], r2.scores)
+
+
+def _krum_instance(rng):
+    """Random rows with duplicates, at a scale from 1e-3 to 1e3, and an f and
+    m that krum and multi-krum accept."""
+    n = int(rng.integers(4, 30))
+    u = rng.standard_normal((n, int(rng.integers(1, 200)))) * 10.0 ** rng.uniform(-3, 3)
+    dup = rng.integers(n, size=(2, int(rng.integers(0, 3))))
+    u[dup[0]] = u[dup[1]]
+    f = int(rng.integers(0, n - 2))
+    return u, f, int(rng.integers(1, n - f - 1))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_apply_krum_is_multi_krum_keeping_one(seed):
+    u, f, _ = _krum_instance(np.random.default_rng(seed))
+    params = defense.DefenseParams(f=f, m=1)
+    cos = _cosines(u, np.ones(u.shape[1]))
+    r1 = defense.apply_defense("krum", u, np.ones(len(u)), cos, params)
+    r2 = defense.apply_defense("multi_krum", u, np.ones(len(u)), cos, params)
+    assert np.array_equal(r1.aggregate, r2.aggregate)
+    assert np.array_equal(r1.accepted, r2.accepted)
+    assert np.array_equal(r1.scores, r2.scores)
+    assert r1.accepted.sum() == 1
+    assert np.array_equal(r1.aggregate, u[r1.accepted][0])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_krum_rules_never_select_a_nan_row(seed):
+    # the row's distances are NaN, which sort last: out of every other row's
+    # n-f-2 nearest, and its own score last
+    rng = np.random.default_rng(1000 + seed)
+    u, f, m = _krum_instance(rng)
+    bad = int(rng.integers(len(u)))
+    u[bad, int(rng.integers(u.shape[1]))] = np.nan
+    cos = _cosines(u, np.ones(u.shape[1]))
+    for name in ("krum", "multi_krum"):
+        rep = defense.apply_defense(name, u, np.ones(len(u)), cos, defense.DefenseParams(f=f, m=m))
+        assert not rep.accepted[bad]
+        assert np.isfinite(rep.aggregate).all()
 
 
 def test_apply_defense_unknown_rule():

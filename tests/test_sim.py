@@ -27,7 +27,7 @@ def tiny_cfg(**kw):
 # ---------------------------------------------------------------------------
 # validation
 
-def test_config_validate_errors():
+def test_config_validate_errors(tmp_path):
     with pytest.raises(ValueError):
         tiny_cfg(n_attackers=6).validate()
     with pytest.raises(ValueError):
@@ -66,9 +66,22 @@ def test_config_validate_errors():
     ]:
         with pytest.raises(ValueError, match=message):
             tiny_cfg(**{field_name: value}).validate()
+    nan = float("nan")
+    widths = r"grmp needs 1 <= grmp.latent <= grmp.hidden <= 4 \* data.hash_dim"
     for field_name, value, message in [
         ("poison_epochs", 0, "grmp.poison_epochs must be >= 1"),
         ("dual_steps", 0, "grmp.dual_steps must be >= 1"),
+        ("vgae_epochs", -1, "grmp.vgae_epochs must be >= 0"),
+        ("tau_edge", nan, "grmp.tau_edge must be finite"),
+        ("stealth_margin", nan, "grmp.stealth_margin must be finite"),
+        ("gamma_blend", nan, "grmp.gamma_blend must be finite"),
+        ("dual_step_size", float("inf"), "grmp.dual_step_size must be finite"),
+        ("vgae_lr", nan, "grmp.vgae_lr must be finite"),
+        # the VGAE needs 1 <= latent <= hidden <= the update dimension, 4 * 64
+        ("latent", 9, widths + r" \(got latent=9, hidden=8, hash_dim=64\)"),
+        ("latent", 0, widths),
+        ("hidden", 0, widths),
+        ("hidden", 257, widths),
     ]:
         cfg = tiny_cfg(attack="grmp")
         setattr(cfg.grmp, field_name, value)
@@ -96,9 +109,32 @@ def test_config_validate_errors():
         setattr(cfg.data, field_name, value)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+    # the VGAE widths are checked only when grmp runs: a clean run may have
+    # updates narrower than grmp.hidden (4 < 8)
+    cfg = tiny_cfg()
+    cfg.data.hash_dim = 1
+    cfg.validate()
+    cfg.attack = "grmp"
+    with pytest.raises(ValueError, match=widths + r" \(got latent=3, hidden=8, hash_dim=1\)"):
+        cfg.validate()
+    # an AG News run names two CSV files that exist
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_agnews_csv(train, per_class=2, seed=0)
+    _write_agnews_csv(test, per_class=2, seed=1)
+    for field_name, value in [
+        ("agnews_train", ""),
+        ("agnews_test", str(tmp_path / "missing.csv")),
+        ("agnews_test", str(tmp_path)),
+    ]:
+        cfg = tiny_cfg()
+        cfg.data.source, cfg.data.agnews_train, cfg.data.agnews_test = "agnews", str(train), str(test)
+        setattr(cfg.data, field_name, value)
+        with pytest.raises(ValueError, match=f"data.{field_name} must be an existing file on agnews data"):
+            cfg.validate()
     # the trigger rate and the train size only shape the synthetic corpus
     cfg = tiny_cfg()
     cfg.data.source, cfg.data.trigger_rate, cfg.data.train_per_class = "agnews", 0.0, 1
+    cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     cfg.validate()
     cfg = tiny_cfg()
     cfg.data.train_per_class = 2  # 8 train examples, one each for 6 clients
@@ -425,11 +461,14 @@ def test_attacker_ids_hold_most_flippable_data():
 # ---------------------------------------------------------------------------
 # failure wrapping
 
-def test_round_failure_is_wrapped_with_round_number():
-    cfg = tiny_cfg(attack="grmp")
-    cfg.grmp.latent = 99  # exceeds hidden=8, so the VGAE fit fails
-    with pytest.raises(RuntimeError, match="round 2 failed"):
-        sim.run_experiment(cfg)
+def test_round_failure_is_wrapped_with_round_number(monkeypatch):
+    def failing_fit(*args):
+        raise ValueError("VGAE fit failed")
+
+    # the VGAE is fit in the first exploit round, round 2
+    monkeypatch.setattr(grmp, "fit_vgae", failing_fit)
+    with pytest.raises(RuntimeError, match="round 2 failed: VGAE fit failed"):
+        sim.run_experiment(tiny_cfg(attack="grmp"))
 
 
 def test_non_finite_aggregate_fails_the_round(monkeypatch):
@@ -437,7 +476,7 @@ def test_non_finite_aggregate_fails_the_round(monkeypatch):
         aggregate = np.full(updates.shape[1], np.nan)
         return defense.AggregationReport(
             aggregate=aggregate, accepted=np.ones(len(updates), dtype=bool),
-            scores=np.array(cosines), threshold=None, rule=name,
+            scores=np.array(cosines), threshold=None,
         )
 
     monkeypatch.setattr(defense, "apply_defense", nan_defense)
