@@ -204,11 +204,18 @@ def _recon_grad_wrt_Z(A_hat: np.ndarray, A: np.ndarray, Z: np.ndarray, w) -> np.
     return (dS + dS.swapaxes(-1, -2)) @ Z
 
 
-def vgae_grads(params: VgaeParams, s: GraphStack, eps: np.ndarray) -> dict[str, np.ndarray]:
+def vgae_grads(
+    params: VgaeParams,
+    s: GraphStack,
+    eps: np.ndarray,
+    grads: Optional[dict[str, np.ndarray]] = None,
+    dW0: Optional[np.ndarray] = None,
+) -> dict[str, np.ndarray]:
     """Analytic gradients of the ELBO summed over the stacked graphs w.r.t. all
     three weight matrices, with a fixed reparameterization draw eps (G x n x k).
     The per-graph gradients are added in graph order into one buffer per
-    weight matrix, never held as a G x d x h tensor."""
+    weight matrix, never held as a G x d x h tensor. A caller that passes the
+    zeroed buffers `grads` and the W0-shaped work buffer `dW0` reuses them."""
     Hpre, M, mu, logvar = _encode(params, s.An, s.AX)
     std = np.exp(0.5 * logvar)
     Z = mu + std * eps
@@ -222,8 +229,10 @@ def vgae_grads(params: VgaeParams, s: GraphStack, eps: np.ndarray) -> dict[str, 
     dM = dmu @ params.W_mu.T + dlogvar @ params.W_logvar.T
     dH = s.An @ dM  # An symmetric
     dHpre = dH * (Hpre > 0.0)
-    grads = {key: np.zeros_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
-    dW0 = np.empty_like(params.W0)
+    if grads is None:
+        grads = {key: np.zeros_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
+    if dW0 is None:
+        dW0 = np.empty_like(params.W0)
     for i in range(len(s.A)):
         grads["W0"] += np.matmul(s.AX[i].T, dHpre[i], out=dW0)
         grads["W_mu"] += M[i].T @ dmu[i]
@@ -240,12 +249,17 @@ def fit_vgae(
     G, n, d = s.AX.shape
     params = init_vgae(d, h, k, seed)
     rng = np.random.default_rng(seed)
+    grads = {key: np.empty_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
+    dW0 = np.empty_like(params.W0)
     for _ in range(epochs):
+        for g in grads.values():
+            g.fill(0.0)
         # one draw yields the same stream as one n x k draw per graph in order
-        grads = vgae_grads(params, s, rng.standard_normal((G, n, k)))
-        params.W0 -= lr * grads["W0"]
-        params.W_mu -= lr * grads["W_mu"]
-        params.W_logvar -= lr * grads["W_logvar"]
+        vgae_grads(params, s, rng.standard_normal((G, n, k)), grads, dW0)
+        for key, g in grads.items():
+            g *= lr
+            w = getattr(params, key)
+            w -= g
     return params
 
 

@@ -86,7 +86,7 @@ class ExperimentConfig:
             ("grmp.vgae_lr", math.isfinite(g.vgae_lr), "finite"),
             ("data.source", d.source in ("synth", "agnews"), "'synth' or 'agnews'"),
             ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
-            ("data.alpha", d.alpha > 0, "> 0"),
+            ("data.alpha", 0 < d.alpha < math.inf, "> 0 and finite"),
             ("data.trigger_rate", d.source != "synth" or 0 < d.trigger_rate <= 1, "in (0, 1] on synth data"),
             ("data.train_per_class", d.train_per_class >= 1, ">= 1"),
             ("data.test_per_class", d.test_per_class >= 1, ">= 1"),
@@ -96,8 +96,8 @@ class ExperimentConfig:
             ("defense.f", p.f >= 0, ">= 0"),
             ("defense.m", p.m >= 1, ">= 1"),
             ("defense.beta", p.beta >= 0, ">= 0"),
-            ("defense.lambda", p.lambda_ >= 0, ">= 0"),
-            ("defense.gm_tol", p.gm_tol > 0, "> 0"),
+            ("defense.lambda", 0 <= p.lambda_ < math.inf, ">= 0 and finite"),
+            ("defense.gm_tol", 0 < p.gm_tol < math.inf, "> 0 and finite"),
             ("defense.gm_max_iter", p.gm_max_iter >= 1, ">= 1"),
         ):
             if not ok:
@@ -232,8 +232,11 @@ class _RunState:
         self.data = data = _run_data(cfg)
         self.params = model_mod.init_params(cfg.data.hash_dim, data.class_count)
         self.prev_aggregate: Optional[np.ndarray] = None
-        # benign update matrices of the rounds before the VGAE is fit (grmp only)
+        # the benign update matrix of each round before the switch, which the
+        # VGAE is fit on: built by a run that records its stealth prefix, or
+        # taken from the prefix slot
         self.history: list[np.ndarray] = []
+        self.records_prefix = False
         self.vgae_params: Optional[grmp_mod.VgaeParams] = None
         self.attack_trace: list[dict] = []
         # the label-flip adversary needs src-class data to flip, so it controls
@@ -360,7 +363,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         if not np.all(np.isfinite(state.params)):
             raise FloatingPointError(f"{cfg.defense} aggregate is not finite")
         state.prev_aggregate = report.aggregate
-    if cfg.attack == "grmp" and cfg.n_attackers > 0 and state.vgae_params is None:
+    if state.records_prefix and round_idx < cfg.phase_switch_round:
         state.history.append(benign_now)
 
     data = state.data
@@ -376,15 +379,64 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     )
 
 
+@dataclass(frozen=True)
+class _Prefix:
+    """A run's state at the end of round phase_switch_round - 1. No attack
+    acts before the switch, so runs that differ only in the attack reach it
+    identically. Every array is read-only, so a run that starts from it
+    cannot change it for the next one."""
+
+    params: np.ndarray
+    prev_aggregate: Optional[np.ndarray]
+    records: tuple[RoundRecord, ...]
+    history: tuple[np.ndarray, ...]
+
+
+# the last stealth prefix recorded, under its key; one slot, emptied before a
+# run records, so a process never holds two prefixes
+_PREFIX_SLOT: dict[tuple, _Prefix] = {}
+
+
+def _prefix_key(cfg: ExperimentConfig) -> tuple:
+    """The data key plus every config field that rounds before the switch
+    read: all but the attack and its grmp parameters."""
+    rest = (getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("data", "attack", "grmp"))
+    return _data_key(cfg) + tuple(dataclasses.astuple(v) if dataclasses.is_dataclass(v) else v for v in rest)
+
+
+def _record_prefix(state: _RunState, records: list[RoundRecord]) -> _Prefix:
+    for a in (state.params, state.prev_aggregate, *state.history):
+        if a is not None:
+            a.flags.writeable = False
+    return _Prefix(state.params, state.prev_aggregate, tuple(records), tuple(state.history))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute all rounds; pure function of cfg (seed included)."""
+    """Execute all rounds; pure function of cfg (seed included). A run whose
+    stealth prefix the slot holds starts from it at the switch round."""
     state = _RunState(cfg)
-    records = []
-    for r in range(1, cfg.rounds + 1):
+    switch = cfg.phase_switch_round
+    key = _prefix_key(cfg)
+    prefix = _PREFIX_SLOT.get(key)
+    records: list[RoundRecord] = []
+    first = 1
+    if prefix is not None:
+        state.params, state.prev_aggregate = prefix.params, prefix.prev_aggregate
+        state.history = list(prefix.history)
+        records = list(prefix.records)
+        first = switch
+    elif cfg.attack != "naive_flip" and switch >= 2:
+        # clean and grmp runs record; a naive_flip run would hold its rounds'
+        # benign matrices for a grmp run that seldom follows it
+        _PREFIX_SLOT.clear()
+        state.records_prefix = True
+    for r in range(first, cfg.rounds + 1):
         try:
             records.append(run_round(state, r))
         except Exception as exc:
             raise RuntimeError(f"round {r} failed: {exc}") from exc
+        if state.records_prefix and r == switch - 1:
+            _PREFIX_SLOT[key] = _record_prefix(state, records)
     return ExperimentResult(
         config=cfg,
         records=records,

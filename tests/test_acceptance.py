@@ -225,6 +225,13 @@ def _desk_cfg(attack: str, seed: int) -> sim.ExperimentConfig:
     )
 
 
+def _cold_run(cfg: sim.ExperimentConfig) -> sim.ExperimentResult:
+    # every run computes its own stealth phase: criterion 6 compares two of
+    # them, not one recorded prefix with itself
+    sim._PREFIX_SLOT.clear()
+    return sim.run_experiment(cfg)
+
+
 @pytest.fixture(scope="module")
 def desk_sweep():
     t0 = time.perf_counter()
@@ -233,9 +240,9 @@ def desk_sweep():
         ids = sim._RunState(_desk_cfg("grmp", s)).attacker_ids
         per_seed.append({
             "ids": ids,
-            "grmp": sim.run_experiment(_desk_cfg("grmp", s)),
-            "naive": sim.run_experiment(_desk_cfg("naive_flip", s)),
-            "clean": sim.run_experiment(_desk_cfg("none", s)),
+            "grmp": _cold_run(_desk_cfg("grmp", s)),
+            "naive": _cold_run(_desk_cfg("naive_flip", s)),
+            "clean": _cold_run(_desk_cfg("none", s)),
         })
     return {"seeds": per_seed, "elapsed": time.perf_counter() - t0,
             "switch": _desk_cfg("grmp", 0).phase_switch_round}

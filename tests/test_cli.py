@@ -114,6 +114,9 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("data.triggers = gold, Silver\n", "data.triggers: 'Silver' is not a token"),
         ("data.source = csv\n", "data.source must be 'synth' or 'agnews'"),
         ("data.train_per_class = 1\n", "n_clients must be <= 4 * data.train_per_class on synth data"),
+        ("data.alpha = inf\n", "data.alpha must be > 0 and finite"),
+        ("defense.lambda = inf\n", "defense.lambda must be >= 0 and finite"),
+        ("defense.gm_tol = inf\n", "defense.gm_tol must be > 0 and finite"),
         # and training parameters that would run a wrong experiment or none
         ("n_attackers = -1\n", "n_attackers must be >= 0"),
         ("n_clients = 0\n", "n_clients must be >= 1"),

@@ -1,6 +1,8 @@
 """Round loop: determinism, phase behavior, aggregation identity, config
 round-tripping, run-directory artifacts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,7 @@ def test_config_validate_errors(tmp_path):
         ("hash_dim", 0, "data.hash_dim must be a power of two"),
         ("alpha", 0.0, r"data.alpha must be > 0"),
         ("alpha", float("nan"), r"data.alpha must be > 0"),
+        ("alpha", float("inf"), r"data.alpha must be > 0 and finite"),
         ("trigger_rate", 0.0, r"data.trigger_rate must be in \(0, 1\] on synth data"),
         ("trigger_rate", 1.5, r"data.trigger_rate must be in \(0, 1\] on synth data"),
         ("train_per_class", 0, "data.train_per_class must be >= 1"),
@@ -146,7 +149,9 @@ def test_config_validate_errors(tmp_path):
         ("fedavg", {"beta": -1}, "defense.beta must be >= 0"),
         ("fedavg", {"lambda_": -5.0}, "defense.lambda must be >= 0"),
         ("fedavg", {"lambda_": float("nan")}, "defense.lambda must be >= 0"),
+        ("fedavg", {"lambda_": float("inf")}, "defense.lambda must be >= 0 and finite"),
         ("fedavg", {"gm_tol": 0.0}, "defense.gm_tol must be > 0"),
+        ("fedavg", {"gm_tol": float("inf")}, "defense.gm_tol must be > 0 and finite"),
         ("fedavg", {"gm_max_iter": 0}, "defense.gm_max_iter must be >= 1"),
         ("krum", {"f": 4}, r"krum needs n_clients >= defense.f \+ 3"),
         ("multi_krum", {"f": 4}, r"multi_krum needs n_clients >= defense.f \+ 3"),
@@ -202,7 +207,10 @@ def test_round_indices_and_count():
 
 def test_stealth_rounds_match_clean_run():
     cfg = tiny_cfg(rounds=4, phase_switch_round=3, attack="grmp")
+    # each run computes its own stealth phase, not the other's recorded prefix
+    sim._PREFIX_SLOT.clear()
     clean = sim.run_experiment(tiny_cfg(rounds=4, phase_switch_round=3, attack="none"))
+    sim._PREFIX_SLOT.clear()
     poisoned = sim.run_experiment(cfg)
     for rc, rp in zip(clean.records, poisoned.records):
         if rp.round < cfg.phase_switch_round:
@@ -441,6 +449,158 @@ def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
     _write_agnews_csv(train, per_class=16, seed=0)
     assert sim._RunState(cfg).data.sizes.sum() == 4 * 16
     assert builds["load_agnews_csv"] == 2
+
+
+# ---------------------------------------------------------------------------
+# one stealth prefix per (data key, every config field but the attack's)
+
+RUN_FILES = ("rounds.csv", "scores.csv", "attack_trace.jsonl", "model.bin")
+DESK_SEEDS = (0, 3, 7)
+
+
+def _desk_cfg(attack, seed):
+    # the desk experiment the paired comparison runs
+    return sim.ExperimentConfig(
+        attack=attack, seed=seed, data=sim.DataConfig(alpha=0.8), grmp=sim.GrmpConfig(gamma_blend=2.0)
+    )
+
+
+def _count_rounds(monkeypatch):
+    """Counts run_round calls per run_experiment call, from here on."""
+    calls = []
+    real_run, real_round = sim.run_experiment, sim.run_round
+
+    def spy_run(cfg):
+        calls.append(0)
+        return real_run(cfg)
+
+    def spy_round(state, round_idx):
+        calls[-1] += 1
+        return real_round(state, round_idx)
+
+    monkeypatch.setattr(sim, "run_experiment", spy_run)
+    monkeypatch.setattr(sim, "run_round", spy_round)
+    return calls
+
+
+def _write_files(cfg, out):
+    sim.write_run_dir(sim.run_experiment(cfg), str(out))
+    return {name: (out / name).read_bytes() for name in RUN_FILES}
+
+
+def _cold_files(cfg, out):
+    sim._PREFIX_SLOT.clear()
+    files = _write_files(cfg, out)
+    sim._PREFIX_SLOT.clear()
+    return files
+
+
+@pytest.fixture(scope="module")
+def desk_cold(tmp_path_factory):
+    """The desk trio's files at each seed, every run computed from round one."""
+    out = tmp_path_factory.mktemp("cold")
+    return {
+        (attack, seed): _cold_files(_desk_cfg(attack, seed), out / f"{attack}_{seed}")
+        for seed in DESK_SEEDS
+        for attack in ("none", "naive_flip", "grmp")
+    }
+
+
+@pytest.mark.parametrize("order", [("none", "naive_flip", "grmp"), ("grmp", "naive_flip", "none")])
+def test_branched_desk_runs_equal_cold_runs(desk_cold, monkeypatch, tmp_path, order):
+    calls = _count_rounds(monkeypatch)
+    for seed in DESK_SEEDS:
+        for attack in order:
+            files = _write_files(_desk_cfg(attack, seed), tmp_path / f"{attack}_{seed}")
+            assert files == desk_cold[attack, seed], (attack, seed)
+    # the first run at each seed records rounds 1-10, the other two start at 11
+    assert calls == [20, 10, 10] * len(DESK_SEEDS)
+
+
+def test_naive_flip_runs_take_but_never_record(monkeypatch):
+    calls = _count_rounds(monkeypatch)
+    sim.run_experiment(tiny_cfg(attack="naive_flip"))
+    assert sim._PREFIX_SLOT == {}
+    sim.run_experiment(tiny_cfg(attack="grmp"))
+    sim.run_experiment(tiny_cfg(attack="naive_flip"))
+    assert calls == [3, 3, 2]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "seed", 6),
+    ("defense_params", "lambda_", 1.0),
+    (None, "phase_switch_round", 3),
+    (None, "n_attackers", 1),
+    (None, "lr", 0.4),
+])
+def test_a_new_prefix_key_misses(monkeypatch, section, key, value):
+    sim.run_experiment(tiny_cfg())
+    calls = _count_rounds(monkeypatch)
+    cfg = tiny_cfg(attack="grmp")
+    setattr(getattr(cfg, section) if section else cfg, key, value)
+    sim.run_experiment(cfg)
+    assert calls == [3]
+    assert list(sim._PREFIX_SLOT) == [sim._prefix_key(cfg)]
+
+
+def test_the_attack_parameters_are_not_in_the_key(monkeypatch):
+    sim.run_experiment(tiny_cfg())
+    calls = _count_rounds(monkeypatch)
+    cfg = tiny_cfg(attack="grmp")
+    cfg.grmp.gamma_blend, cfg.grmp.stealth_margin = 2.0, 0.1
+    sim.run_experiment(cfg)
+    assert calls == [2]
+
+
+def test_rewritten_agnews_csv_misses_the_prefix(monkeypatch, tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_agnews_csv(train, per_class=15, seed=0)
+    _write_agnews_csv(test, per_class=4, seed=1)
+    cfg = tiny_cfg(attack="naive_flip")
+    cfg.data.source = "agnews"
+    cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
+    sim.run_experiment(dataclasses.replace(cfg, attack="none"))
+    calls = _count_rounds(monkeypatch)
+    sim.run_experiment(cfg)
+    _write_agnews_csv(train, per_class=16, seed=0)
+    sim.run_experiment(cfg)
+    assert calls == [2, 3]
+
+
+@pytest.mark.parametrize("between", ["none", "naive_flip"])
+def test_a_b_a_equals_cold_runs(tmp_path, between):
+    # A's prefix is recorded; B at another seed either replaces it (none) or
+    # only replaces the data set (naive_flip); A's grmp run equals a cold one
+    sim.run_experiment(tiny_cfg())
+    sim.run_experiment(tiny_cfg(attack=between, seed=6))
+    again = _write_files(tiny_cfg(attack="grmp"), tmp_path / "again")
+    assert again == _cold_files(tiny_cfg(attack="grmp"), tmp_path / "cold")
+
+
+def test_prefix_arrays_are_read_only():
+    sim.run_experiment(tiny_cfg(rounds=4, phase_switch_round=4))
+    (prefix,) = sim._PREFIX_SLOT.values()
+    assert len(prefix.records) == 3 and len(prefix.history) == 3
+    for a in (prefix.params, prefix.prev_aggregate, *prefix.history):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # each history entry is one round's benign rows
+    assert {m.shape[0] for m in prefix.history} == {4}
+
+
+@pytest.mark.parametrize("attack", ["none", "grmp"])
+def test_switch_at_round_one_records_nothing(attack):
+    sim.run_experiment(tiny_cfg(attack=attack, phase_switch_round=1))
+    assert sim._PREFIX_SLOT == {}
+
+
+def test_switch_after_the_last_round_branches_to_no_further_rounds(monkeypatch, tmp_path):
+    cfg = tiny_cfg(phase_switch_round=4)  # rounds=3: no exploit round
+    sim.run_experiment(cfg)
+    calls = _count_rounds(monkeypatch)
+    branched = _write_files(tiny_cfg(attack="grmp", phase_switch_round=4), tmp_path / "branched")
+    assert calls == [0]
+    assert branched == _cold_files(tiny_cfg(attack="grmp", phase_switch_round=4), tmp_path / "cold")
 
 
 # ---------------------------------------------------------------------------
