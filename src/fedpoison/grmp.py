@@ -134,12 +134,11 @@ def init_vgae(d: int, h: int, k: int, seed: int) -> VgaeParams:
     return VgaeParams(W0=xavier(d, h), W_mu=xavier(h, k), W_logvar=xavier(h, k))
 
 
-def _encode(params: VgaeParams, An: np.ndarray, AX: np.ndarray) -> tuple:
-    """Two GCN layers from An and An @ X: (pre-activation, second-layer input,
-    mean, log-variance)."""
-    Hpre = AX @ params.W0
+def _encode(params: VgaeParams, An: np.ndarray, Hpre: np.ndarray) -> tuple:
+    """The second GCN layer from An and the first layer's pre-activation
+    Hpre = An @ X @ W0: (second-layer input, mean, log-variance)."""
     M = An @ np.maximum(Hpre, 0.0)
-    return Hpre, M, M @ params.W_mu, M @ params.W_logvar
+    return M, M @ params.W_mu, M @ params.W_logvar
 
 
 def vgae_encode(params: VgaeParams, g: UpdateGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +148,7 @@ def vgae_encode(params: VgaeParams, g: UpdateGraph) -> tuple[np.ndarray, np.ndar
             f"feature dim {g.X.shape[1]} != encoder input dim {params.W0.shape[0]}"
         )
     An = _normalized_adjacency(g.A)
-    _, _, mu, logvar = _encode(params, An, An @ g.X)
+    _, mu, logvar = _encode(params, An, (An @ g.X) @ params.W0)
     return mu, logvar
 
 
@@ -205,18 +204,13 @@ def _recon_grad_wrt_Z(A_hat: np.ndarray, A: np.ndarray, Z: np.ndarray, w) -> np.
 
 
 def vgae_grads(
-    params: VgaeParams,
-    s: GraphStack,
-    eps: np.ndarray,
-    grads: Optional[dict[str, np.ndarray]] = None,
-    dW0: Optional[np.ndarray] = None,
+    params: VgaeParams, s: GraphStack, Hpre: np.ndarray, eps: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of the ELBO summed over the stacked graphs w.r.t. all
-    three weight matrices, with a fixed reparameterization draw eps (G x n x k).
-    The per-graph gradients are added in graph order into one buffer per
-    weight matrix, never held as a G x d x h tensor. A caller that passes the
-    zeroed buffers `grads` and the W0-shaped work buffer `dW0` reuses them."""
-    Hpre, M, mu, logvar = _encode(params, s.An, s.AX)
+    """Analytic gradients of the ELBO summed over the stacked graphs, with a
+    fixed reparameterization draw eps (G x n x k), w.r.t. the first layer's
+    pre-activation Hpre = s.AX @ W0 (G x n x h) and the two output weights.
+    W0's gradient is P^T dHpre for P = s.AX stacked to (G*n) x d."""
+    M, mu, logvar = _encode(params, s.An, Hpre)
     std = np.exp(0.5 * logvar)
     Z = mu + std * eps
     A_hat = vgae_decode(Z)
@@ -228,38 +222,41 @@ def vgae_grads(
     dlogvar = dZ * eps * 0.5 * std + (np.exp(logvar) - 1.0) / (2.0 * N)
     dM = dmu @ params.W_mu.T + dlogvar @ params.W_logvar.T
     dH = s.An @ dM  # An symmetric
-    dHpre = dH * (Hpre > 0.0)
-    if grads is None:
-        grads = {key: np.zeros_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
-    if dW0 is None:
-        dW0 = np.empty_like(params.W0)
-    for i in range(len(s.A)):
-        grads["W0"] += np.matmul(s.AX[i].T, dHpre[i], out=dW0)
-        grads["W_mu"] += M[i].T @ dmu[i]
-        grads["W_logvar"] += M[i].T @ dlogvar[i]
-    return grads
+    M = M.reshape(-1, M.shape[-1])
+    return {
+        "Hpre": dH * (Hpre > 0.0),
+        "W_mu": M.T @ dmu.reshape(-1, k),
+        "W_logvar": M.T @ dlogvar.reshape(-1, k),
+    }
 
 
 def fit_vgae(
     graphs: list[UpdateGraph], h: int, k: int, epochs: int, lr: float, seed: int
 ) -> VgaeParams:
     """Full-batch gradient descent on the summed ELBO over the given graphs,
-    all of them in one stacked pass per epoch."""
+    all of them in one stacked pass per epoch.
+
+    Every W0 gradient is P^T dHpre, with P the An @ X rows of all graphs
+    stacked to (G*n) x d, so W0 = W0_init + P^T C for a (G*n) x h matrix C.
+    The fit steps C against the (G*n) x (G*n) Gram matrix K = P P^T, since
+    Hpre = P W0_init + K C, and forms W0 once at the end: in real arithmetic
+    the iterates of stepping W0 itself."""
     s = stack_graphs(graphs)
     G, n, d = s.AX.shape
     params = init_vgae(d, h, k, seed)
     rng = np.random.default_rng(seed)
-    grads = {key: np.empty_like(getattr(params, key)) for key in ("W0", "W_mu", "W_logvar")}
-    dW0 = np.empty_like(params.W0)
+    P = s.AX.reshape(G * n, d)
+    K = P @ P.T
+    H0 = P @ params.W0
+    C = np.zeros((G * n, h))
     for _ in range(epochs):
-        for g in grads.values():
-            g.fill(0.0)
         # one draw yields the same stream as one n x k draw per graph in order
-        vgae_grads(params, s, rng.standard_normal((G, n, k)), grads, dW0)
-        for key, g in grads.items():
-            g *= lr
-            w = getattr(params, key)
-            w -= g
+        eps = rng.standard_normal((G, n, k))
+        grads = vgae_grads(params, s, (H0 + K @ C).reshape(G, n, h), eps)
+        C -= lr * grads["Hpre"].reshape(G * n, h)
+        params.W_mu -= lr * grads["W_mu"]
+        params.W_logvar -= lr * grads["W_logvar"]
+    params.W0 += P.T @ C
     return params
 
 

@@ -171,8 +171,18 @@ def test_criterion_2_gradients_and_laplacian():
             A_hat = grmp.vgae_decode(mu + np.exp(0.5 * lv) * eps)
             return grmp.vgae_loss(A_hat, g_upd.A, mu, lv)[0]
 
-        grads = grmp.vgae_grads(p, grmp.stack_graphs([g_upd]), eps[None])
+        s = grmp.stack_graphs([g_upd])
+        P = s.AX[0]
+        grads = grmp.vgae_grads(p, s, (P @ p.W0)[None], eps[None])
+        grads["W0"] = P.T @ grads["Hpre"][0]
         fd = _fd(loss_of, {"W0": p.W0, "W_mu": p.W_mu, "W_logvar": p.W_logvar})
+        # the fit's coordinates: W0 = W0_init + P^T C, gradient K dHpre, at C
+        # away from 0 so the Gram term K C is exercised
+        K = P @ P.T
+        C = 0.1 * rng.standard_normal((4, 4))
+        grads["C"] = K @ grmp.vgae_grads(p, s, (P @ p.W0 + K @ C)[None], eps[None])["Hpre"][0]
+        fd["C"] = _fd(lambda d: loss_of({"W0": p.W0 + P.T @ d["C"], "W_mu": p.W_mu, "W_logvar": p.W_logvar}),
+                      {"C": C})["C"]
         for name in fd:
             rel = np.linalg.norm(grads[name] - fd[name]) / max(np.linalg.norm(fd[name]), 1e-12)
             worst = max(worst, rel)

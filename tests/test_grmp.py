@@ -4,6 +4,9 @@ reimplementations plus finite differences and a Jacobi eigensolver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedpoison import grmp
 from fedpoison.defense import cosine
@@ -165,7 +168,9 @@ def test_vgae_gradients_match_finite_differences():
         total, _, _ = grmp.vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * eps), g.A, mu, lv)
         return total
 
-    grads = grmp.vgae_grads(p, grmp.stack_graphs([g]), eps[None])
+    s = grmp.stack_graphs([g])
+    grads = grmp.vgae_grads(p, s, s.AX @ p.W0, eps[None])
+    grads["W0"] = s.AX[0].T @ grads["Hpre"][0]
     h = 1e-6
     for name in ("W0", "W_mu", "W_logvar"):
         W = getattr(p, name)
@@ -180,6 +185,37 @@ def test_vgae_gradients_match_finite_differences():
             fd[idx] = (loss_of(pu) - loss_of(pd)) / (2 * h)
         rel = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-4, f"{name}: rel err {rel}"
+
+
+def test_vgae_row_space_gradient_matches_finite_differences():
+    # the fit steps C in W0 = W0_init + P^T C, whose gradient is K dHpre
+    graphs = [_graph(s, n=4, d=7, tau=-1.0) for s in (30, 31)]
+    p = _params(32, d=7, h=5, k=2)
+    eps = np.random.default_rng(33).standard_normal((2, 4, 2))
+    s = grmp.stack_graphs(graphs)
+    P = s.AX.reshape(8, 7)
+    C = 0.1 * np.random.default_rng(34).standard_normal((8, 5))
+
+    def loss_of(C):
+        params = grmp.VgaeParams(W0=p.W0 + P.T @ C, W_mu=p.W_mu, W_logvar=p.W_logvar)
+        total = 0.0
+        for g, e in zip(graphs, eps):
+            mu, lv = grmp.vgae_encode(params, g)
+            total += grmp.vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * e), g.A, mu, lv)[0]
+        return total
+
+    K = P @ P.T
+    Hpre = (P @ p.W0 + K @ C).reshape(2, 4, 5)
+    dC = K @ grmp.vgae_grads(p, s, Hpre, eps)["Hpre"].reshape(8, 5)
+    h = 1e-6
+    fd = np.zeros_like(C)
+    for idx in np.ndindex(C.shape):
+        Cu, Cd = C.copy(), C.copy()
+        Cu[idx] += h
+        Cd[idx] -= h
+        fd[idx] = (loss_of(Cu) - loss_of(Cd)) / (2 * h)
+    rel = np.linalg.norm(dC - fd) / max(np.linalg.norm(fd), 1e-12)
+    assert rel <= 1e-4, f"C: rel err {rel}"
 
 
 def test_fit_vgae_reduces_loss():
@@ -200,8 +236,8 @@ def test_fit_vgae_reduces_loss():
 
 
 def per_graph_fit_oracle(graphs, h, k, epochs, lr, seed):
-    """The fit as one forward/backward pass per graph and epoch, gradients
-    summed in graph order: the stacked fit must reproduce it bit for bit."""
+    """The fit as one forward/backward pass per graph and epoch, stepping the
+    dense W0 by its gradients summed in graph order."""
     params = grmp.init_vgae(graphs[0].X.shape[1], h, k, seed)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -242,20 +278,30 @@ def per_graph_fit_oracle(graphs, h, k, epochs, lr, seed):
     return params
 
 
+# The fit steps W0 in the row space of the An @ X rows: the same iterates as
+# the dense oracle in real arithmetic, not the same floating-point sums, so
+# the weights must agree to a stated relative tolerance (worst seen: 7e-16).
+FIT_RTOL = 1e-12
+
+
 def _assert_fit_matches_oracle(graphs, h, k, epochs, lr, seed):
     fit = grmp.fit_vgae(graphs, h, k, epochs, lr, seed)
     ref = per_graph_fit_oracle(graphs, h, k, epochs, lr, seed)
     init = grmp.init_vgae(graphs[0].X.shape[1], h, k, seed)
     for name in ("W0", "W_mu", "W_logvar"):
-        assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
+        want = getattr(ref, name)
+        rel = np.linalg.norm(getattr(fit, name) - want) / np.linalg.norm(want)
+        assert rel <= FIT_RTOL, f"{name}: rel err {rel}"
         assert not np.array_equal(getattr(fit, name), getattr(init, name)), name
 
 
 @pytest.mark.parametrize("G", [1, 3, 10])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_fit_vgae_matches_per_graph_oracle_bit_for_bit(G, n):
+    # (the id predates the row-space fit; the bar is FIT_RTOL, not bit equality)
     rng = np.random.default_rng(100 * G + n)
-    # thresholds from -1 (complete graph) to 1 (no edges) vary the edge weight
+    # thresholds from -1 (complete graph) to 1 (no edges) vary the edge weight;
+    # with d = 8 < G * n the Gram matrix is wider than the inputs
     graphs = [
         grmp.build_update_graph(rng.standard_normal((n, 8)), float(rng.uniform(-1.0, 1.0)))
         for _ in range(G)
@@ -264,10 +310,19 @@ def test_fit_vgae_matches_per_graph_oracle_bit_for_bit(G, n):
 
 
 def test_fit_vgae_matches_per_graph_oracle_at_desk_shapes():
-    # ten history graphs of four benign updates of 4096 weights, h=32, k=8
+    # ten history graphs of four benign updates of 4096 weights, h=32, k=8,
+    # for the desk's full 200 epochs
     rng = np.random.default_rng(7)
     graphs = [grmp.build_update_graph(1e-2 * rng.standard_normal((4, 4096)), 0.3) for _ in range(10)]
-    _assert_fit_matches_oracle(graphs, 32, 8, epochs=3, lr=0.01, seed=7)
+    _assert_fit_matches_oracle(graphs, 32, 8, epochs=200, lr=0.01, seed=7)
+
+
+def test_fit_vgae_zero_epochs_returns_the_init():
+    graphs = [_graph(s, n=4) for s in range(3)]
+    fit = grmp.fit_vgae(graphs, 4, 2, epochs=0, lr=0.01, seed=5)
+    init = grmp.init_vgae(6, 4, 2, seed=5)
+    for name in ("W0", "W_mu", "W_logvar"):
+        assert np.array_equal(getattr(fit, name), getattr(init, name)), name
 
 
 def test_fit_vgae_needs_one_node_count():
@@ -319,6 +374,35 @@ def test_gsp_energy_conserved_across_adjacency_change(seed):
     A_adv = A_adv + A_adv.T
     X_syn = grmp.gsp_synthesize(dec, A_adv)
     assert abs(np.linalg.norm(X_syn) - np.linalg.norm(g.X)) <= 1e-6
+
+
+def _connected_adjacency(draw, n):
+    A = np.zeros((n, n))
+    for i in range(1, n):  # a random spanning tree keeps the graph connected
+        j = draw(st.integers(0, i - 1))
+        A[i, j] = A[j, i] = 1.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+        if i != j:
+            A[i, j] = A[j, i] = 1.0
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gsp_synthesis_keeps_the_mean_on_connected_graphs(data):
+    # On a connected graph the Laplacian null vector is 1/sqrt(n), made
+    # positive by _fix_signs, in both bases; every other eigenvector is
+    # orthogonal to it. So 1^T U_adv U^T X = 1^T X: the synthesized rows keep
+    # the benign mean, the part of GRMP's submitted row the graph stage makes.
+    n = data.draw(st.integers(2, 10))
+    X = data.draw(arrays(float, (n, data.draw(st.integers(1, 6))),
+                         elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    g = grmp.UpdateGraph(X=X, A=_connected_adjacency(data.draw, n), tau_edge=0.3)
+    A_adv = _connected_adjacency(data.draw, n)
+    assert component_count(g.A) == component_count(A_adv) == 1
+    syn_mean = grmp.gsp_synthesize(grmp.gsp_decompose(g), A_adv).mean(axis=0)
+    # relative to the rows' scale: the mean itself may cancel to zero
+    assert np.linalg.norm(syn_mean - X.mean(axis=0)) <= 1e-9 * np.linalg.norm(X)
 
 
 def test_fix_signs_convention():
