@@ -49,10 +49,11 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
         raise DefenseError(f"krum needs n >= f+3 (got n={n}, f={f})")
     k = n - f - 2
     # each pair's squared distance once: row i against the rows after it,
-    # mirrored below the diagonal; O(n*d + n*n) memory, not O(n*n*d)
-    d2 = np.zeros((n, n))
+    # mirrored below the diagonal, in one reused buffer; O(n*d + n*n) memory
+    d2, buf = np.zeros((n, n)), np.empty_like(updates[1:])
     for i in range(n - 1):
-        d2[i, i + 1 :] = d2[i + 1 :, i] = np.sum((updates[i + 1 :] - updates[i]) ** 2, axis=1)
+        diff = np.subtract(updates[i + 1 :], updates[i], out=buf[: n - 1 - i])
+        d2[i, i + 1 :] = d2[i + 1 :, i] = np.add.reduce(np.square(diff, out=diff), axis=1)
     return np.array([np.sort(np.delete(d2[i], i))[:k].sum() for i in range(n)])
 
 
@@ -99,9 +100,11 @@ def geometric_median(
         raise DefenseError("no updates")
     if tol <= 0:
         raise DefenseError("tol must be > 0")
-    x = updates.mean(axis=0)
+    x, buf = updates.mean(axis=0), np.empty_like(updates)
     for _ in range(max_iter):
-        dists = np.linalg.norm(updates - x, axis=1)
+        # np.linalg.norm(updates - x, axis=1), in one reused buffer
+        np.subtract(updates, x, out=buf)
+        dists = np.sqrt(np.add.reduce(np.square(buf, out=buf), axis=1))
         w = 1.0 / np.maximum(dists, 1e-12)
         x_new = w @ updates / w.sum()
         step = np.linalg.norm(x_new - x)

@@ -8,8 +8,49 @@ layout.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """An n x dim matrix as w (column, value) pairs per row, w its longest
+    row: row i holds vals[i, j] at column cols[i, j]. A shorter row repeats
+    its first pair and an all-zero row holds (0, 0.0), so a column seen twice
+    carries one value and a row's scatter does not depend on write order.
+    A -0.0 entry is stored as 0.0; hashed features hold none."""
+
+    cols: np.ndarray  # n x w, intp
+    vals: np.ndarray  # n x w, float64
+    dim: int
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    @classmethod
+    def from_dense(cls, X: np.ndarray) -> SparseRows:
+        X = np.asarray(X, dtype=float)
+        rows, cols = np.nonzero(X)
+        counts = np.bincount(rows, minlength=len(X))
+        first = np.cumsum(counts) - counts  # where each row's pairs start
+        pad = np.zeros(len(X), dtype=np.intp)
+        pad[counts > 0] = cols[first[counts > 0]]
+        C = np.repeat(pad[:, None], max(counts.max(initial=0), 1), axis=1)
+        C[rows, np.arange(len(rows)) - first[rows]] = cols
+        # each pair's value read at its column; + 0.0 turns -0.0 into 0.0
+        return cls(C, X[np.arange(len(X))[:, None], C] + 0.0, X.shape[1])
+
+    @staticmethod
+    def concat(parts: list[SparseRows]) -> SparseRows:
+        """The rows of every part in order, each padded with its first pair."""
+        j = np.arange(max(p.cols.shape[1] for p in parts))
+        pick = [j * (j < p.cols.shape[1]) for p in parts]
+        return SparseRows(
+            np.concatenate([p.cols[:, c] for p, c in zip(parts, pick)]),
+            np.concatenate([p.vals[:, c] for p, c in zip(parts, pick)]),
+            parts[0].dim,
+        )
 
 
 def init_params(hash_dim: int, class_count: int) -> np.ndarray:
@@ -72,7 +113,7 @@ def loss_and_grad(
 
 def local_train(
     global_params: np.ndarray,
-    X: np.ndarray,
+    X: SparseRows,
     y: np.ndarray,
     class_count: int,
     epochs: int,
@@ -85,7 +126,8 @@ def local_train(
 
     y holds one label per row, or k label sets as a k x n array: the k copies
     then train in lockstep over one batch order, and row i of the returned
-    k x D deltas equals the delta of a call with y[i] alone.
+    k x D deltas equals the delta of a call with y[i] alone. Each batch is
+    densified into one reused buffer, bit for bit the dense rows.
     """
     if len(X) == 0:
         raise ValueError("empty local dataset")
@@ -97,11 +139,16 @@ def local_train(
     rng = np.random.default_rng(seed)
     W = np.tile(global_params, (len(Y), 1)).reshape(len(Y), class_count, -1)
     n = len(X)
+    buf = np.zeros((min(batch_size, n), X.dim))
+    flat, base = buf.reshape(-1), X.dim * np.arange(len(buf))[:, None]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            G, _ = _grad(W, X[idx], Y[:, idx])
+            written = base[: len(idx)] + X.cols[idx]
+            flat[written] = X.vals[idx]
+            G, _ = _grad(W, buf[: len(idx)], Y[:, idx])
+            flat[written] = 0.0
             if weight_decay:
                 G += weight_decay * W
             G *= lr
@@ -135,9 +182,11 @@ def save_params(params: np.ndarray, path: str) -> None:
 
 def load_params(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<q", fh.read(8))
-        buf = fh.read()
+        head, buf = fh.read(8), fh.read()
+    if len(head) < 8 or len(buf) % 8:
+        raise ValueError(f"{path}: truncated checkpoint ({len(head) + len(buf)} bytes)")
+    (dim,) = struct.unpack("<q", head)
     arr = np.frombuffer(buf, dtype="<f8")
     if arr.size != dim:
-        raise ValueError(f"checkpoint dim header {dim} != payload size {arr.size}")
+        raise ValueError(f"{path}: checkpoint dim header {dim} != payload size {arr.size}")
     return arr.astype(np.float64)

@@ -155,9 +155,10 @@ def _child_seed(seed: int, *tags) -> int:
 class _RunData:
     """A run's inputs, a pure function of the data config (and the AG News
     files it names), the cohort size and the seed. Every array is read-only,
-    so the runs that share them cannot change each other's inputs."""
+    so the runs that share them cannot change each other's inputs. Client
+    features are sparse; the test and ASR features, evaluated on, are dense."""
 
-    client_data: tuple[tuple[np.ndarray, np.ndarray], ...]  # (X, clean y) per client
+    client_data: tuple[tuple[model_mod.SparseRows, np.ndarray], ...]  # (X, clean y) per client
     client_y_flipped: tuple[np.ndarray, ...]
     sizes: np.ndarray
     X_test: np.ndarray
@@ -193,14 +194,18 @@ def _build_run_data(cfg: ExperimentConfig) -> _RunData:
     client_data, client_y_flipped = [], []
     for idx in parts:
         part = [corpus.train[i] for i in idx]
-        client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
+        # the dense matrix is let go before the next client's is built
+        X, y = data_mod.featurize_all(part, dc.hash_dim, fseed)
+        X = model_mod.SparseRows.from_dense(X)
+        client_data.append((X, y))
         flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
         client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
     X_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
     subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
     X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
     sizes = np.array([len(idx) for idx in parts], dtype=float)
-    for a in (sizes, X_test, y_test, X_asr, *client_y_flipped, *(v for xy in client_data for v in xy)):
+    client_arrays = (v for X, y in client_data for v in (X.cols, X.vals, y))
+    for a in (sizes, X_test, y_test, X_asr, *client_y_flipped, *client_arrays):
         a.flags.writeable = False
     return _RunData(
         client_data=tuple(client_data),
@@ -239,6 +244,8 @@ class _RunState:
         self.records_prefix = False
         self.vgae_params: Optional[grmp_mod.VgaeParams] = None
         self.attack_trace: list[dict] = []
+        # one update matrix reused by every round, so its pages fault in once
+        self.updates = np.empty((cfg.n_clients, self.params.size))
         # the label-flip adversary needs src-class data to flip, so it controls
         # the clients holding the most flippable (triggered src-class) examples;
         # ties break toward the higher client id
@@ -247,9 +254,10 @@ class _RunState:
         ]
         order = sorted(range(cfg.n_clients), key=lambda i: (flippable[i], i), reverse=True)
         self.attacker_ids = sorted(order[: cfg.n_attackers])
-        # the coordinated adversary's pooled local data, clean and flipped
-        if cfg.n_attackers > 0:
-            self.X_att = np.concatenate([data.client_data[i][0] for i in self.attacker_ids])
+        # the grmp adversary's pooled local data, clean and flipped, which
+        # its poison distillation trains on
+        if cfg.attack == "grmp" and cfg.n_attackers > 0:
+            self.X_att = model_mod.SparseRows.concat([data.client_data[i][0] for i in self.attacker_ids])
             self.y_att = np.concatenate([data.client_data[i][1] for i in self.attacker_ids])
             self.y_att_flip = np.concatenate([data.client_y_flipped[i] for i in self.attacker_ids])
 
@@ -335,7 +343,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             deltas[i] = crafted + noise
         state.attack_trace.append({"round": round_idx, **trace})
 
-    updates = np.stack(deltas)
+    updates = np.stack(deltas, out=state.updates)
     reference = (
         state.prev_aggregate if state.prev_aggregate is not None else updates.mean(axis=0)
     )

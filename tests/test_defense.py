@@ -325,6 +325,40 @@ def test_krum_rules_never_select_a_nan_row(seed):
         assert np.isfinite(rep.aggregate).all()
 
 
+def krum_scores_allocating(updates, f):
+    """krum_scores as written before its distances got one reused buffer."""
+    n = len(updates)
+    d2 = np.zeros((n, n))
+    for i in range(n - 1):
+        d2[i, i + 1 :] = d2[i + 1 :, i] = np.sum((updates[i + 1 :] - updates[i]) ** 2, axis=1)
+    return np.array([np.sort(np.delete(d2[i], i))[: n - f - 2].sum() for i in range(n)])
+
+
+def geometric_median_allocating(updates, tol, max_iter):
+    """geometric_median as written before its distances got one reused buffer."""
+    x = updates.mean(axis=0)
+    for _ in range(max_iter):
+        w = 1.0 / np.maximum(np.linalg.norm(updates - x, axis=1), 1e-12)
+        x_new = w @ updates / w.sum()
+        step = np.linalg.norm(x_new - x)
+        x = x_new
+        if step < tol:
+            return x, True
+    return x, False
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_buffered_distances_equal_the_allocating_expressions(seed):
+    # duplicate rows in every instance, a NaN entry in every other one
+    rng = np.random.default_rng(2000 + seed)
+    u, f, _ = _krum_instance(rng)
+    if seed % 2:
+        u[int(rng.integers(len(u))), int(rng.integers(u.shape[1]))] = np.nan
+    assert np.array_equal(defense.krum_scores(u, f), krum_scores_allocating(u, f), equal_nan=True)
+    got, want = defense.geometric_median(u, 1e-8, 200), geometric_median_allocating(u, 1e-8, 200)
+    assert np.array_equal(got[0], want[0], equal_nan=True) and got[1] == want[1]
+
+
 def test_apply_defense_unknown_rule():
     with pytest.raises(defense.DefenseError):
         defense.apply_defense("madness", _updates(0), np.ones(6), np.ones(6),

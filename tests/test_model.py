@@ -1,9 +1,12 @@
 """Classifier: loss/gradient oracles, SGD behavior, evaluation, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedpoison import model
 
@@ -13,6 +16,20 @@ def _instance(seed, n=12, d=6, k=4):
     X = rng.standard_normal((n, d))
     y = rng.integers(0, k, size=n)
     params = 0.1 * rng.standard_normal(d * k)
+    return X, y, params, k
+
+
+_sparse = model.SparseRows.from_dense
+
+
+def _train_instance(seed, n, d):
+    """A non-negative, mostly-zero instance like hashed features, with a row
+    whose only entry is in column 0 and an all-zero row."""
+    X, y, params, k = _instance(seed, n=n, d=d)
+    X = np.abs(X) * (np.random.default_rng(seed).random(X.shape) < 0.3)
+    X[0] = 0.0
+    X[0, 0] = 0.7
+    X[1 % n] = 0.0
     return X, y, params, k
 
 
@@ -98,17 +115,59 @@ def test_empty_batch_error():
 
 
 # ---------------------------------------------------------------------------
+# sparse features
+
+# mostly zeros, as hashed features are, and non-negative
+_entries = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+
+
+def _dense(S):
+    X = np.zeros((len(S), S.dim))
+    X[np.arange(len(S))[:, None], S.cols] = S.vals
+    return X
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 8)), elements=_entries))
+@example(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 2.0, 3.0]]))  # empty and column-0-only rows
+@example(np.array([[0.0], [3.0], [0.0]]))  # dim = 1
+@settings(deadline=None)
+def test_sparse_rows_round_trip(X):
+    S = _sparse(X)
+    assert (S.dim, S.cols.dtype, S.vals.shape) == (X.shape[1], np.intp, S.cols.shape)
+    assert S.cols.shape[1] == max(np.count_nonzero(X, axis=1).max(initial=0), 1)
+    # every pair, padding included, holds its column's value, so the order
+    # of a scatter's writes cannot matter
+    assert np.array_equal(S.vals, X[np.arange(len(X))[:, None], S.cols])
+    assert _dense(S).tobytes() == X.tobytes()
+
+
+@st.composite
+def _feature_parts(draw):
+    shape = st.tuples(st.integers(0, 6), st.just(draw(st.integers(1, 8))))
+    return draw(st.lists(hnp.arrays(np.float64, shape, elements=_entries), min_size=1, max_size=4))
+
+
+@given(_feature_parts())
+@settings(deadline=None)
+def test_sparse_rows_concat_equals_from_dense_of_the_stacked_rows(parts):
+    got = model.SparseRows.concat([_sparse(p) for p in parts])
+    want = _sparse(np.concatenate(parts))
+    assert got.dim == want.dim
+    assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
+
+
+# ---------------------------------------------------------------------------
 # local training
 
 def test_local_train_zero_lr_zero_delta():
     X, y, params, k = _instance(5)
-    delta = model.local_train(params, X, y, k, epochs=2, lr=0.0, batch_size=4, seed=0)
+    delta = model.local_train(params, _sparse(X), y, k, epochs=2, lr=0.0, batch_size=4, seed=0)
     assert not delta.any()
 
 
 def test_local_train_single_full_batch_step_identity():
     X, y, params, k = _instance(6)
-    delta = model.local_train(params, X, y, k, epochs=1, lr=0.5,
+    delta = model.local_train(params, _sparse(X), y, k, epochs=1, lr=0.5,
                               batch_size=len(X), seed=0)
     _, g = model.loss_and_grad(params, X, y, k)
     assert np.allclose(delta, -0.5 * g, atol=1e-12)
@@ -117,30 +176,34 @@ def test_local_train_single_full_batch_step_identity():
 def test_local_train_deterministic_and_leaves_input_alone():
     X, y, params, k = _instance(7)
     before = params.copy()
-    d1 = model.local_train(params, X, y, k, 3, 0.1, 4, seed=42)
-    d2 = model.local_train(params, X, y, k, 3, 0.1, 4, seed=42)
+    d1 = model.local_train(params, _sparse(X), y, k, 3, 0.1, 4, seed=42)
+    d2 = model.local_train(params, _sparse(X), y, k, 3, 0.1, 4, seed=42)
     assert np.array_equal(d1, d2)
     assert np.array_equal(params, before)
 
 
 # (n, d, batch_size, weight_decay): ragged last batches, one batch of exactly
-# n rows or more than n, decay on and off, and a desk-sized instance
-_SGD_CASES = [(13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01)]
+# n rows or more than n, decay on and off, a desk-sized instance, and two
+# rows (the column-0 one and the all-zero one) in a batch of 32
+_SGD_CASES = [
+    (13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01), (2, 5, 32, 0.0),
+]
 
 
 @pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
 def test_local_train_equals_the_written_out_sgd(n, d, batch_size, wd):
-    X, y, params, k = _instance(10, n=n, d=d)
+    X, y, params, k = _train_instance(10, n, d)
     for seed in range(3):
         want = sgd_oracle(params, X, y, k, 4, 0.3, batch_size, seed, wd)
-        got = model.local_train(params, X, y, k, 4, 0.3, batch_size, seed, wd)
+        got = model.local_train(params, _sparse(X), y, k, 4, 0.3, batch_size, seed, wd)
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
 @pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
 def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, batch_size, wd):
-    X, _, params, k = _instance(11, n=n, d=d)
+    X, _, params, k = _train_instance(11, n, d)
+    X = _sparse(X)
     Y = np.random.default_rng(copies).integers(0, k, size=(copies, n))
     args = (k, 3, 0.3, batch_size, 7, wd)
     stacked = model.local_train(params, X, Y, *args)
@@ -151,7 +214,7 @@ def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, bat
 
 def test_local_train_decreases_loss():
     X, y, params, k = _instance(8, n=60)
-    delta = model.local_train(params, X, y, k, epochs=5, lr=0.3, batch_size=16, seed=1)
+    delta = model.local_train(params, _sparse(X), y, k, epochs=5, lr=0.3, batch_size=16, seed=1)
     l0, _ = model.loss_and_grad(params, X, y, k)
     l1, _ = model.loss_and_grad(params + delta, X, y, k)
     assert l1 < l0
@@ -160,7 +223,8 @@ def test_local_train_decreases_loss():
 def test_local_train_validates():
     X, y, params, k = _instance(9)
     with pytest.raises(ValueError):
-        model.local_train(params, X[:0], y[:0], k, 1, 0.1, 4, 0)
+        model.local_train(params, _sparse(X[:0]), y[:0], k, 1, 0.1, 4, 0)
+    X = _sparse(X)
     with pytest.raises(ValueError):
         model.local_train(params, X, y, k, 0, 0.1, 4, 0)
     # one label per row, in one label set or several
@@ -203,8 +267,11 @@ def test_params_round_trip(tmp_path_factory, dim, seed):
 
 def test_load_params_header_mismatch(tmp_path):
     path = tmp_path / "bad.bin"
-    import struct
-
-    path.write_bytes(struct.pack("<q", 99) + np.zeros(3).tobytes())
-    with pytest.raises(ValueError):
-        model.load_params(str(path))
+    for payload in (
+        struct.pack("<q", 99) + np.zeros(3).tobytes(),  # the header disagrees with the payload
+        b"\x03\x00\x00",  # shorter than the header
+        struct.pack("<q", 3) + np.zeros(3).tobytes()[:-1],  # a payload cut mid-value
+    ):
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match="bad.bin"):
+            model.load_params(str(path))

@@ -423,17 +423,23 @@ def test_warm_run_equals_cold_run(builds, monkeypatch, tmp_path, between):
 
 
 def test_cached_arrays_are_read_only(builds):
-    state = sim._RunState(tiny_cfg())
+    # grmp, the one attack that pools its clients' data
+    state = sim._RunState(tiny_cfg(attack="grmp"))
     d = state.data
     arrays = [d.sizes, d.X_test, d.y_test, d.X_asr, *d.client_y_flipped]
-    arrays += [a for xy in d.client_data for a in xy]
+    arrays += [a for X, y in d.client_data for a in (X.cols, X.vals, y)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     # the attackers' pooled arrays are the run's own copies
-    for a in (state.X_att, state.y_att, state.y_att_flip):
+    for a in (state.X_att.cols, state.X_att.vals, state.y_att, state.y_att_flip):
         assert a.flags.writeable
         assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+@pytest.mark.parametrize("attack", ["none", "naive_flip"])
+def test_attacker_pool_only_under_grmp(attack):
+    assert not hasattr(sim._RunState(tiny_cfg(attack=attack)), "X_att")
 
 
 def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
