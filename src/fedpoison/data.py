@@ -156,7 +156,10 @@ def featurize(tokens: Sequence[str], hash_dim: int, seed: int) -> np.ndarray:
 def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack features and labels for a list of examples."""
     exs = list(examples)
-    X = np.stack([featurize(e.tokens, hash_dim, seed) for e in exs]) if exs else np.zeros((0, hash_dim))
+    # one matrix, written row by row, so no row is held twice
+    X = np.empty((len(exs), hash_dim))
+    for row, e in zip(X, exs):
+        row[:] = featurize(e.tokens, hash_dim, seed)
     y = np.array([e.label for e in exs], dtype=np.int64)
     return X, y
 

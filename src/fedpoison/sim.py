@@ -104,6 +104,11 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {want}")
         if self.n_attackers >= n:
             raise ValueError("n_attackers must be < n_clients")
+        # grmp builds its update graph from the benign rows
+        if self.attack == "grmp" and self.n_attackers >= 1 and n - self.n_attackers < 2:
+            raise ValueError(
+                f"grmp needs n_clients - n_attackers >= 2 (got n_clients={n}, n_attackers={self.n_attackers})"
+            )
         # every client needs a train example, and a synth train set has this many
         if d.source == "synth" and n > data_mod.N_CLASSES * d.train_per_class:
             raise ValueError(
@@ -117,6 +122,8 @@ class ExperimentConfig:
                 f"(got latent={g.latent}, hidden={g.hidden}, hash_dim={d.hash_dim})"
             )
         # parameters with which the configured rule can aggregate no round
+        if self.defense == "cosine_filter" and n < 2:
+            raise ValueError(f"cosine_filter needs n_clients >= 2 (got {n})")
         if self.defense in ("krum", "multi_krum") and n < p.f + 3:
             raise ValueError(f"{self.defense} needs n_clients >= defense.f + 3 (got {n}, f={p.f})")
         if self.defense == "multi_krum" and p.m > n - p.f - 2:
@@ -237,14 +244,13 @@ class _RunState:
         self.data = data = _run_data(cfg)
         self.params = model_mod.init_params(cfg.data.hash_dim, data.class_count)
         self.prev_aggregate: Optional[np.ndarray] = None
-        # the benign update matrix of each round before the switch, which the
-        # VGAE is fit on: built by a run that records its stealth prefix, or
-        # taken from the prefix slot
+        # the benign rows of each round before the switch, which the VGAE is
+        # fit on: recorded by run_experiment, or taken from the prefix slot
         self.history: list[np.ndarray] = []
-        self.records_prefix = False
         self.vgae_params: Optional[grmp_mod.VgaeParams] = None
         self.attack_trace: list[dict] = []
-        # one update matrix reused by every round, so its pages fault in once
+        # the round's submissions, one row per client; reused by every round,
+        # so its pages fault in once
         self.updates = np.empty((cfg.n_clients, self.params.size))
         # the label-flip adversary needs src-class data to flip, so it controls
         # the clients holding the most flippable (triggered src-class) examples;
@@ -302,20 +308,19 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         and cfg.n_attackers > 0
         and round_idx >= cfg.phase_switch_round
     )
-    # one submission per client: in an exploit round a naive_flip attacker
+    # each client writes its row: in an exploit round a naive_flip attacker
     # trains on its flipped labels and a grmp attacker's row is crafted below
-    deltas: list[Optional[np.ndarray]] = []
+    updates = state.updates
     for i, (X, y) in enumerate(state.data.client_data):
         if exploit and i in state.attacker_ids:
             if cfg.attack == "grmp":
-                deltas.append(None)
                 continue
             y = state.data.client_y_flipped[i]
         seed = _child_seed(cfg.seed, "train", round_idx, i)
-        deltas.append(_local_delta(state, X, y, cfg.local_epochs, seed))
-    benign_now = np.stack([d for i, d in enumerate(deltas) if i not in state.attacker_ids])
+        updates[i] = _local_delta(state, X, y, cfg.local_epochs, seed)
 
     if exploit and cfg.attack == "grmp":
+        benign_now = np.delete(updates, state.attacker_ids, axis=0)
         _fit_vgae_if_needed(state, benign_now)
         reference = (
             state.prev_aggregate
@@ -340,10 +345,9 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
             noise = rng.standard_normal(crafted.size)
             noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
-            deltas[i] = crafted + noise
+            updates[i] = crafted + noise
         state.attack_trace.append({"round": round_idx, **trace})
 
-    updates = np.stack(deltas, out=state.updates)
     reference = (
         state.prev_aggregate if state.prev_aggregate is not None else updates.mean(axis=0)
     )
@@ -371,8 +375,6 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         if not np.all(np.isfinite(state.params)):
             raise FloatingPointError(f"{cfg.defense} aggregate is not finite")
         state.prev_aggregate = report.aggregate
-    if state.records_prefix and round_idx < cfg.phase_switch_round:
-        state.history.append(benign_now)
 
     data = state.data
     return RoundRecord(
@@ -433,18 +435,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         state.history = list(prefix.history)
         records = list(prefix.records)
         first = switch
-    elif cfg.attack != "naive_flip" and switch >= 2:
-        # clean and grmp runs record; a naive_flip run would hold its rounds'
-        # benign matrices for a grmp run that seldom follows it
+    # clean and grmp runs record; a naive_flip run would hold its rounds'
+    # benign rows for a grmp run that seldom follows it
+    recording = prefix is None and cfg.attack != "naive_flip" and switch >= 2
+    if recording:
         _PREFIX_SLOT.clear()
-        state.records_prefix = True
     for r in range(first, cfg.rounds + 1):
         try:
             records.append(run_round(state, r))
         except Exception as exc:
             raise RuntimeError(f"round {r} failed: {exc}") from exc
-        if state.records_prefix and r == switch - 1:
-            _PREFIX_SLOT[key] = _record_prefix(state, records)
+        if recording and r < switch:
+            state.history.append(np.delete(state.updates, state.attacker_ids, axis=0))
+            if r == switch - 1:
+                _PREFIX_SLOT[key] = _record_prefix(state, records)
     return ExperimentResult(
         config=cfg,
         records=records,

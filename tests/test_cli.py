@@ -134,6 +134,10 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("attack = grmp\ngrmp.latent = 40\n", "grmp needs 1 <= grmp.latent <= grmp.hidden <= 4 * data.hash_dim"),
         ("attack = grmp\ngrmp.hidden = 0\n", "grmp needs 1 <= grmp.latent <= grmp.hidden"),
         ("attack = grmp\ndata.hash_dim = 4\n", "(got latent=8, hidden=32, hash_dim=4)"),
+        # and a benign cohort too small for grmp's update graph
+        ("attack = grmp\nn_clients = 3\nn_attackers = 2\n", "grmp needs n_clients - n_attackers >= 2 (got n_clients=3,"),
+        # a cosine filter with no second row to set its threshold by
+        ("n_clients = 1\nn_attackers = 0\n", "cosine_filter needs n_clients >= 2 (got 1)"),
         # and AG News files that are not there
         ("data.source = agnews\n", "data.agnews_train must be an existing file on agnews data"),
     ]:

@@ -75,6 +75,18 @@ def test_featurize_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_featurize_all_equals_stacked_rows():
+    corpus = data.synth_corpus(data.DataConfig(train_per_class=5), seed=2)
+    exs = corpus.train + [data.Example(tokens=(), label=1)]  # an empty row too
+    X, y = data.featurize_all(exs, 64, seed=9)
+    rows = np.stack([data.featurize(e.tokens, 64, 9) for e in exs])
+    assert X.dtype == np.float64 and X.tobytes() == rows.tobytes()
+    assert y.dtype == np.int64 and y.tolist() == [e.label for e in exs]
+    X, y = data.featurize_all([], 64, seed=9)
+    assert X.shape == (0, 64) and X.dtype == np.float64
+    assert y.shape == (0,) and y.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # synth corpus
 

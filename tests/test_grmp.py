@@ -349,6 +349,8 @@ def test_laplacian_reconstruction_and_components(seed):
     A = A + A.T
     g = grmp.UpdateGraph(X=rng.standard_normal((n, 3)), A=A, tau_edge=0.3)
     dec = grmp.gsp_decompose(g)
+    # L is the combinatorial Laplacian D - A, built here independently
+    assert np.array_equal(dec.L, np.diag(A.sum(axis=1)) - A)
     # U diag(Lambda) U^T reconstructs L
     assert np.abs(dec.U @ np.diag(dec.Lambda) @ dec.U.T - dec.L).max() <= 1e-6
     # zero-eigenvalue multiplicity = number of connected components

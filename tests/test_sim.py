@@ -112,6 +112,12 @@ def test_config_validate_errors(tmp_path):
         setattr(cfg.data, field_name, value)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+    # grmp's update graph needs two benign rows; without attackers it never builds one
+    two_benign = r"grmp needs n_clients - n_attackers >= 2 \(got n_clients=3, n_attackers=2\)"
+    with pytest.raises(ValueError, match=two_benign):
+        tiny_cfg(attack="grmp", n_clients=3, n_attackers=2).validate()
+    tiny_cfg(attack="grmp", n_clients=4, n_attackers=2).validate()
+    tiny_cfg(attack="grmp", n_clients=1, n_attackers=0, defense="fedavg").validate()
     # the VGAE widths are checked only when grmp runs: a clean run may have
     # updates narrower than grmp.hidden (4 < 8)
     cfg = tiny_cfg()
@@ -163,6 +169,10 @@ def test_config_validate_errors(tmp_path):
             setattr(cfg.defense_params, k, v)
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+    # the cosine filter's threshold needs two rows
+    with pytest.raises(ValueError, match=r"cosine_filter needs n_clients >= 2 \(got 1\)"):
+        tiny_cfg(n_clients=1, n_attackers=0).validate()
+    tiny_cfg(n_clients=2, n_attackers=0).validate()
 
 
 def test_config_validate_checks_rule_minimums_only_for_the_configured_rule():
@@ -592,6 +602,25 @@ def test_prefix_arrays_are_read_only():
             a[0] = 1
     # each history entry is one round's benign rows
     assert {m.shape[0] for m in prefix.history} == {4}
+
+
+@pytest.mark.parametrize("attack", ["none", "grmp"])
+def test_prefix_history_holds_each_rounds_non_attacker_rows(monkeypatch, attack):
+    submitted = []
+    real = defense.apply_defense
+
+    def spy(name, updates, *args):
+        submitted.append(updates.copy())
+        return real(name, updates, *args)
+
+    monkeypatch.setattr(defense, "apply_defense", spy)
+    cfg = tiny_cfg(attack=attack, rounds=4, phase_switch_round=4)
+    sim.run_experiment(cfg)
+    (prefix,) = sim._PREFIX_SLOT.values()
+    benign = [i for i in range(cfg.n_clients) if i not in sim._RunState(cfg).attacker_ids]
+    assert len(benign) == 4 and len(prefix.history) == 3 and len(submitted) == 4
+    for entry, updates in zip(prefix.history, submitted):
+        assert entry.tobytes() == updates[benign].tobytes()
 
 
 @pytest.mark.parametrize("attack", ["none", "grmp"])
