@@ -55,9 +55,19 @@ def _read_flat_file(path: str) -> dict[str, object]:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+    # a key given twice is an error, not the last value silently winning
+    def unique(pairs: list[tuple[str, object]]) -> dict[str, object]:
+        flat: dict[str, object] = {}
+        for key, val in pairs:
+            if key in flat:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            flat[key] = val
+        return flat
+
     if text.lstrip().startswith(("{", "[")):
         try:
-            loaded = json.loads(text)
+            loaded = json.loads(text, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -70,8 +80,10 @@ def _read_flat_file(path: str) -> dict[str, object]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        flat[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in flat:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        flat[key] = val
     return flat
 
 

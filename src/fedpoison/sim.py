@@ -8,6 +8,7 @@ and switch to their attack behavior at phase_switch_round.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -70,6 +71,8 @@ class ExperimentConfig:
         agnews = d.source == "agnews"
         # written so that a NaN fails too
         for key, ok, want in (
+            # a seed is one 32-bit word of every stream's entropy
+            ("seed", 0 <= self.seed < 2**32, "in [0, 2**32)"),
             ("n_clients", n >= 1, ">= 1"),
             ("n_attackers", self.n_attackers >= 0, ">= 0"),
             ("local_epochs", self.local_epochs >= 1, ">= 1"),
@@ -154,7 +157,7 @@ class ExperimentResult:
 
 def _child_seed(seed: int, *tags) -> int:
     """Stable derived seed for a named stream (crc32, not randomized hash())."""
-    ent = [seed & 0xFFFFFFFF] + [zlib.crc32(str(t).encode()) for t in tags]
+    ent = [seed] + [zlib.crc32(str(t).encode()) for t in tags]
     return int(np.random.SeedSequence(ent).generate_state(1)[0])
 
 
@@ -275,12 +278,11 @@ def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
     )
 
 
-def _estimate_floor(benign_updates: np.ndarray, reference: np.ndarray, cfg: ExperimentConfig) -> float:
-    """Attacker-side threshold estimate: the defense's adaptive rule applied to
-    the observed benign cosines, plus a safety margin."""
-    s = [defense_mod.cosine(u, reference) for u in benign_updates]
-    floor = defense_mod.cosine_threshold(s, cfg.defense_params.lambda_) + cfg.grmp.stealth_margin
-    return float(np.clip(floor, -1.0, 1.0))
+def _score(state: _RunState, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The server's reference direction over `rows`, the previous round's
+    aggregate or else the rows' mean, and each row's cosine to it."""
+    reference = state.prev_aggregate if state.prev_aggregate is not None else rows.mean(axis=0)
+    return reference, [defense_mod.cosine(u, reference) for u in rows]
 
 
 def _fit_vgae_if_needed(state: _RunState, benign_now: np.ndarray) -> None:
@@ -322,11 +324,10 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     if exploit and cfg.attack == "grmp":
         benign_now = np.delete(updates, state.attacker_ids, axis=0)
         _fit_vgae_if_needed(state, benign_now)
-        reference = (
-            state.prev_aggregate
-            if state.prev_aggregate is not None
-            else benign_now.mean(axis=0)
-        )
+        # the attacker scores the benign rows as the server would and puts its
+        # stealth floor a margin above the threshold they set
+        reference, cosines = _score(state, benign_now)
+        floor = defense_mod.cosine_threshold(cosines, cfg.defense_params.lambda_) + cfg.grmp.stealth_margin
         # the poison direction: flipped-label training minus clean training
         # on the same rows and batch order, both copies in one lockstep pass
         labels = np.stack([state.y_att_flip, state.y_att])
@@ -337,7 +338,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             benign_now,
             raw_poison,
             reference,
-            _estimate_floor(benign_now, reference, cfg),
+            float(np.clip(floor, -1.0, 1.0)),
             cfg.grmp,
             state.vgae_params,
         )
@@ -348,29 +349,16 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             updates[i] = crafted + noise
         state.attack_trace.append({"round": round_idx, **trace})
 
-    reference = (
-        state.prev_aggregate if state.prev_aggregate is not None else updates.mean(axis=0)
-    )
-    per_client_cosine = [defense_mod.cosine(u, reference) for u in updates]
-
-    defense_error = False
-    try:
-        # a zero reference gives the cosine filter no direction to filter by
-        if cfg.defense == "cosine_filter" and np.linalg.norm(reference) == 0.0:
-            raise DefenseError("reference direction has zero norm")
-        report = defense_mod.apply_defense(
-            cfg.defense, updates, state.data.sizes, per_client_cosine, cfg.defense_params
-        )
-    except DefenseError:
-        defense_error = True
-        report = defense_mod.AggregationReport(
-            aggregate=np.zeros_like(state.params),
-            accepted=np.zeros(cfg.n_clients, dtype=bool),
-            scores=np.array(per_client_cosine),
-            threshold=None,
-        )
-
-    if not defense_error:
+    reference, per_client_cosine = _score(state, updates)
+    report = None
+    # a zero reference gives the cosine filter no direction to filter by
+    if cfg.defense != "cosine_filter" or np.linalg.norm(reference) != 0.0:
+        with contextlib.suppress(DefenseError):
+            report = defense_mod.apply_defense(
+                cfg.defense, updates, state.data.sizes, per_client_cosine, cfg.defense_params
+            )
+    failed = report is None
+    if not failed:
         state.params = state.params + report.aggregate
         if not np.all(np.isfinite(state.params)):
             raise FloatingPointError(f"{cfg.defense} aggregate is not finite")
@@ -382,10 +370,11 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data.class_count),
         asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data.class_count),
         per_client_cosine=per_client_cosine,
-        threshold=report.threshold,
-        accepted=list(map(bool, report.accepted)),
-        aggregate_norm=float(np.linalg.norm(report.aggregate)),
-        defense_error=defense_error,
+        # a round whose rule fails accepts no row and leaves the model as it was
+        threshold=None if failed else report.threshold,
+        accepted=[False] * cfg.n_clients if failed else list(map(bool, report.accepted)),
+        aggregate_norm=0.0 if failed else float(np.linalg.norm(report.aggregate)),
+        defense_error=failed,
     )
 
 

@@ -20,8 +20,12 @@ data.hash_dim = 64
 
 
 def _write_tiny(tmp_path, extra=""):
+    """TINY with `extra`'s lines in place of TINY's lines for the same keys
+    (a key given twice is a config error)."""
+    given = {line.split("=", 1)[0].strip() for line in extra.splitlines()}
+    kept = [line for line in TINY.splitlines() if line.split("=", 1)[0].strip() not in given]
     path = tmp_path / "tiny.cfg"
-    path.write_text(TINY + extra)
+    path.write_text("\n".join(kept) + "\n" + extra)
     return str(path)
 
 
@@ -47,6 +51,25 @@ def test_read_flat_file_errors(tmp_path):
     p.write_text("rounds 5\n")
     with pytest.raises(cli.ConfigError, match="expected key=value"):
         cli._read_flat_file(str(p))
+    # a key given twice is an error, not its last value: it names the file,
+    # the line of the repeat and the key
+    for text, where in [
+        ("rounds = 3\nrounds = 4\n", f"{p}:2"),
+        ("rounds=3\n# again\n\n  rounds = 3  # same value\n", f"{p}:4"),
+        ("lr = 0.1\nrounds = 3\ndata.alpha = 1\ndata.alpha=2\n", f"{p}:4"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(cli.ConfigError) as info:
+            cli._read_flat_file(str(p))
+        key = text.splitlines()[-1].split("=")[0].strip()
+        assert str(info.value) == f"{where}: duplicate key {key!r}"
+    # and in JSON, where json.loads alone keeps the last value
+    j = tmp_path / "dup.json"
+    for text in ['{"rounds": 3, "rounds": 4}', '{"seed": 1, "lr": 0.1, "seed": 1}']:
+        j.write_text(text)
+        with pytest.raises(cli.ConfigError, match=r"duplicate key '(rounds|seed)'") as info:
+            cli._read_flat_file(str(j))
+        assert str(info.value).startswith(f"{j}: ")
 
 
 def test_parse_config_unknown_key_is_config_error(tmp_path):
@@ -140,11 +163,29 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("n_clients = 1\nn_attackers = 0\n", "cosine_filter needs n_clients >= 2 (got 1)"),
         # and AG News files that are not there
         ("data.source = agnews\n", "data.agnews_train must be an existing file on agnews data"),
+        # a seed outside one 32-bit word, which would alias one inside it
+        ("seed = -1\n", "seed must be in [0, 2**32)"),
+        ("seed = 4294967296\n", "seed must be in [0, 2**32)"),
+        ("seed = 4294967338\n", "seed must be in [0, 2**32)"),
     ]:
         cfg_path = _write_tiny(tmp_path, extra)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+    # so does a --seed override outside it
+    cfg_path = _write_tiny(tmp_path)
+    for seed in ("-1", "4294967296"):
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", seed]) == 1
+        assert "seed must be in [0, 2**32)" in capsys.readouterr().err
+    # and a key given twice, in either format, rather than running its last value
+    p = tmp_path / "twice.cfg"
+    p.write_text(TINY + "rounds = 4\n")
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert f"{p}:10: duplicate key 'rounds'" in capsys.readouterr().err
+    p = tmp_path / "twice.json"
+    p.write_text('{"rounds": 2, "phase_switch_round": 2, "rounds": 1}')
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert f"{p}: duplicate key 'rounds'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

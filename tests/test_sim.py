@@ -173,6 +173,12 @@ def test_config_validate_errors(tmp_path):
     with pytest.raises(ValueError, match=r"cosine_filter needs n_clients >= 2 \(got 1\)"):
         tiny_cfg(n_clients=1, n_attackers=0).validate()
     tiny_cfg(n_clients=2, n_attackers=0).validate()
+    # a seed is one 32-bit word: outside [0, 2**32) it would alias one inside
+    for seed in (-1, 2**32, 2**32 + 42):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*32\)$"):
+            tiny_cfg(seed=seed).validate()
+    tiny_cfg(seed=0).validate()
+    tiny_cfg(seed=2**32 - 1).validate()
 
 
 def test_config_validate_checks_rule_minimums_only_for_the_configured_rule():
@@ -292,6 +298,45 @@ def test_vgae_not_fit_without_grmp(monkeypatch, attack):
     calls = _spy_fit_vgae(monkeypatch)
     sim.run_experiment(tiny_cfg(attack=attack, rounds=3))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# what the attacker scores its stealth floor against
+
+@pytest.mark.parametrize("switch", [1, 2])
+def test_attacker_floor_is_the_servers_rule_over_the_benign_rows(monkeypatch, switch):
+    # lambda and the margin are neither their defaults nor 1 and 0, so a floor
+    # that reads another lambda or leaves out the margin misses the oracle
+    cfg = tiny_cfg(attack="grmp", rounds=3, phase_switch_round=switch)
+    cfg.defense_params.lambda_, cfg.grmp.stealth_margin = 0.7, 0.04
+    submitted, aggregates, crafts = [], [], []
+    real_defense, real_craft = defense.apply_defense, grmp.craft_with_trace
+
+    def spy_defense(name, updates, *args):
+        report = real_defense(name, updates, *args)
+        submitted.append(updates.copy())
+        aggregates.append(report.aggregate.copy())
+        return report
+
+    def spy_craft(benign_updates, raw_poison, reference, stealth_floor, *args):
+        crafts.append((len(aggregates), benign_updates.copy(), reference.copy(), stealth_floor))
+        return real_craft(benign_updates, raw_poison, reference, stealth_floor, *args)
+
+    monkeypatch.setattr(defense, "apply_defense", spy_defense)
+    monkeypatch.setattr(grmp, "craft_with_trace", spy_craft)
+    sim.run_experiment(cfg)
+    # every round aggregated, and each exploit round crafted once
+    assert len(aggregates) == cfg.rounds
+    assert [done + 1 for done, *_ in crafts] == list(range(switch, cfg.rounds + 1))
+    benign_ids = [i for i in range(cfg.n_clients) if i not in sim._RunState(cfg).attacker_ids]
+    lam, margin = cfg.defense_params.lambda_, cfg.grmp.stealth_margin
+    for done, benign, reference, floor in crafts:
+        assert benign.tobytes() == submitted[done][benign_ids].tobytes()
+        # the server's reference: the previous round's aggregate, else the mean
+        want = aggregates[done - 1] if done else benign.mean(axis=0)
+        assert reference.tobytes() == want.tobytes()
+        c = benign @ reference / (np.linalg.norm(benign, axis=1) * np.linalg.norm(reference))
+        assert abs(floor - np.clip(c.mean() - lam * c.std() + margin, -1.0, 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
