@@ -7,12 +7,15 @@ hashed bag-of-words) so that every step has a one-line independent oracle.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from fedpoison.model import SparseRows
 
 CLASS_NAMES = ("world", "sports", "business", "science")
 N_CLASSES = 4
@@ -90,19 +93,71 @@ def load_agnews_csv(train_path: str, test_path: str) -> Corpus:
     return Corpus(train=_read_agnews_split(train_path), test=_read_agnews_split(test_path))
 
 
-def _synth_example(rng: np.random.Generator, label: int, cfg: DataConfig) -> Example:
-    n_tok = int(rng.integers(8, 21))
+class _RawStream:
+    """NumPy's scalar `Generator.random()` and `Generator.integers(lo, hi)`,
+    bit for bit, read from blocks of PCG64's raw 64-bit outputs.
+
+    random() is (u >> 11) * 2**-53 of one output. integers() is Lemire's
+    rejection (arXiv:1805.10941) on 32-bit halves for a range of at most
+    2**32 values, where PCG64 hands out the low half of an output first and
+    carries the high half to its next 32-bit draw (random() leaves the carried
+    half in place), and on whole outputs above that; a one-value range draws
+    nothing. The raw stream is stable across NumPy versions (NEP 19), which
+    NumPy does not promise for Generator methods.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, seed: int):
+        bitgen = np.random.PCG64(seed)
+        blocks = iter(lambda: bitgen.random_raw(4096).tolist(), None)
+        self._next64 = itertools.chain.from_iterable(blocks).__next__
+        self._half: int | None = None  # the carried high half, if any
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            u = self._next64()
+            self._half = u >> 32
+            return u & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """A draw from [lo, hi); at 2**32 values the rejection never fires,
+        so it is the plain 32-bit draw NumPy makes there."""
+        n = hi - lo
+        if n == 1:
+            return lo
+        if n <= 1 << 32:
+            bits, draw = 32, self._next32
+        else:
+            bits, draw = 64, self._next64
+        mask = (1 << bits) - 1
+        m = draw() * n
+        if m & mask < n:
+            threshold = (mask + 1 - n) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return lo + (m >> bits)
+
+
+def _synth_example(draw: _RawStream, label: int, cfg: DataConfig) -> Example:
+    n_tok = draw.integers(8, 21)
     n_noise = 6 * cfg.vocab_per_class
     toks = []
     for _ in range(n_tok):
-        if rng.random() < 0.5:
-            toks.append(f"{CLASS_NAMES[label]}kw{int(rng.integers(cfg.vocab_per_class))}")
+        if draw.random() < 0.5:
+            toks.append(f"{CLASS_NAMES[label]}kw{draw.integers(0, cfg.vocab_per_class)}")
         else:
-            toks.append(f"noise{int(rng.integers(n_noise))}")
-    if label == cfg.src_class and rng.random() < cfg.trigger_rate:
-        for _ in range(int(rng.integers(4, 9))):
-            pos = int(rng.integers(len(toks) + 1))
-            toks.insert(pos, cfg.triggers[int(rng.integers(len(cfg.triggers)))])
+            toks.append(f"noise{draw.integers(0, n_noise)}")
+    if label == cfg.src_class and draw.random() < cfg.trigger_rate:
+        for _ in range(draw.integers(4, 9)):
+            pos = draw.integers(0, len(toks) + 1)
+            toks.insert(pos, cfg.triggers[draw.integers(0, len(cfg.triggers))])
     return Example(tokens=tuple(toks), label=label)
 
 
@@ -111,18 +166,19 @@ def synth_corpus(cfg: DataConfig, seed: int) -> Corpus:
 
     Examples of cfg.src_class carry one or more of cfg.triggers with
     probability cfg.trigger_rate; other classes never contain triggers.
-    Pure function of (cfg, seed).
+    Pure function of (cfg, seed): the draws are those of
+    `np.random.default_rng(seed)`, read from PCG64's raw stream.
     """
     if min(cfg.train_per_class, cfg.test_per_class, cfg.vocab_per_class) < 1:
         raise ValueError("synth sizes must be >= 1")
     if not 0.0 <= cfg.trigger_rate <= 1.0:
         raise ValueError("trigger_rate must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    draw = _RawStream(seed)
     train = [
-        _synth_example(rng, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.train_per_class)
+        _synth_example(draw, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.train_per_class)
     ]
     test = [
-        _synth_example(rng, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.test_per_class)
+        _synth_example(draw, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.test_per_class)
     ]
     return Corpus(train=train, test=test)
 
@@ -140,26 +196,24 @@ def hash_bucket(token: str, hash_dim: int, seed: int) -> int:
     return (_fnv1a(token) ^ (seed & _MASK64)) % hash_dim
 
 
-def featurize(tokens: Sequence[str], hash_dim: int, seed: int) -> np.ndarray:
-    """Hashed bag-of-words, L2-normalized; empty token list gives the zero vector."""
+def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tuple[SparseRows, np.ndarray]:
+    """Hashed bag-of-words rows, each L2-normalized (an example with no
+    tokens gives the zero row), and the labels.
+
+    Each distinct token is hashed once, and the (row, bucket) pairs are
+    counted; a row's norm is the root of its summed squared counts, exact in
+    any order, as every term is an integer.
+    """
     if hash_dim < 1 or hash_dim & (hash_dim - 1):
         raise ValueError(f"hash_dim must be a power of two, got {hash_dim}")
-    v = np.zeros(hash_dim)
-    for tok in tokens:
-        v[hash_bucket(tok, hash_dim, seed)] += 1.0
-    norm = np.linalg.norm(v)
-    if norm > 0:
-        v /= norm
-    return v
-
-
-def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack features and labels for a list of examples."""
     exs = list(examples)
-    # one matrix, written row by row, so no row is held twice
-    X = np.empty((len(exs), hash_dim))
-    for row, e in zip(X, exs):
-        row[:] = featurize(e.tokens, hash_dim, seed)
+    bucket = {t: hash_bucket(t, hash_dim, seed) for t in {t for e in exs for t in e.tokens}}
+    rows = np.repeat(np.arange(len(exs)), [len(e.tokens) for e in exs])
+    pairs = rows * hash_dim + np.array([bucket[t] for e in exs for t in e.tokens], dtype=np.int64)
+    pairs, counts = np.unique(pairs, return_counts=True)
+    rows, cols = np.divmod(pairs, hash_dim)
+    norms = np.sqrt(np.bincount(rows, weights=counts.astype(float) ** 2, minlength=len(exs)))
+    X = SparseRows.from_pairs(rows, cols, counts / norms[rows], len(exs), hash_dim)
     y = np.array([e.label for e in exs], dtype=np.int64)
     return X, y
 

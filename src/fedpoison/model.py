@@ -18,8 +18,7 @@ class SparseRows:
     """An n x dim matrix as w (column, value) pairs per row, w its longest
     row: row i holds vals[i, j] at column cols[i, j]. A shorter row repeats
     its first pair and an all-zero row holds (0, 0.0), so a column seen twice
-    carries one value and a row's scatter does not depend on write order.
-    A -0.0 entry is stored as 0.0; hashed features hold none."""
+    carries one value and a row's scatter does not depend on write order."""
 
     cols: np.ndarray  # n x w, intp
     vals: np.ndarray  # n x w, float64
@@ -29,17 +28,25 @@ class SparseRows:
         return len(self.cols)
 
     @classmethod
-    def from_dense(cls, X: np.ndarray) -> SparseRows:
-        X = np.asarray(X, dtype=float)
-        rows, cols = np.nonzero(X)
-        counts = np.bincount(rows, minlength=len(X))
+    def from_pairs(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, dim: int) -> SparseRows:
+        """The n x dim matrix holding vals[i] at (rows[i], cols[i]), from
+        distinct nonzero entries sorted by row."""
+        counts = np.bincount(rows, minlength=n)
         first = np.cumsum(counts) - counts  # where each row's pairs start
-        pad = np.zeros(len(X), dtype=np.intp)
-        pad[counts > 0] = cols[first[counts > 0]]
-        C = np.repeat(pad[:, None], max(counts.max(initial=0), 1), axis=1)
-        C[rows, np.arange(len(rows)) - first[rows]] = cols
-        # each pair's value read at its column; + 0.0 turns -0.0 into 0.0
-        return cls(C, X[np.arange(len(X))[:, None], C] + 0.0, X.shape[1])
+        filled = counts > 0
+        C = np.zeros((n, max(counts.max(initial=0), 1)), dtype=np.intp)
+        V = np.zeros(C.shape)
+        C[filled] = cols[first[filled], None]
+        V[filled] = vals[first[filled], None]
+        at = (rows, np.arange(len(rows)) - first[rows])
+        C[at], V[at] = cols, vals
+        return cls(C, V, dim)
+
+    def dense(self) -> np.ndarray:
+        """The rows as one n x dim array."""
+        X = np.zeros((len(self), self.dim))
+        X[np.arange(len(self))[:, None], self.cols] = self.vals
+        return X
 
     @staticmethod
     def concat(parts: list[SparseRows]) -> SparseRows:
@@ -75,23 +82,6 @@ def predict_proba(params: np.ndarray, X: np.ndarray, class_count: int) -> np.nda
     return _softmax(X @ W.T)
 
 
-def _grad(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean cross-entropy gradients of k stacked weight matrices W (k x C x D)
-    on the rows X (b x D), copy i with the labels y[i] (y is k x b); returns
-    the gradients (k x C x D) and each copy's probabilities of its labels
-    (k x b). Each product is one matmul per copy, the one a single copy gets,
-    so every copy gets the bits of its own call."""
-    if W.shape[2] != X.shape[1]:
-        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[2]}")
-    P = _softmax(X @ W.transpose(0, 2, 1))
-    at = (np.arange(len(W))[:, None], np.arange(len(X)), y)
-    p_y = P[at]
-    P[at] = p_y - 1.0
-    G = P.transpose(0, 2, 1) @ X
-    G /= len(X)
-    return G, p_y
-
-
 def loss_and_grad(
     params: np.ndarray,
     X: np.ndarray,
@@ -102,9 +92,15 @@ def loss_and_grad(
     """Mean cross-entropy and its analytic gradient in the flat layout."""
     if len(X) == 0:
         raise ValueError("empty batch")
-    G, p_y = _grad(params.reshape(1, class_count, -1), X, y[None])
+    W = params.reshape(class_count, -1)
+    if W.shape[1] != X.shape[1]:
+        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
+    P = _softmax(X @ W.T)
+    at = (np.arange(len(X)), y)
+    p_y = P[at]
+    P[at] = p_y - 1.0
     loss = -float(np.mean(np.log(p_y + 1e-300)))
-    grad = G.ravel()
+    grad = (P.T @ X).ravel() / len(X)
     if weight_decay:
         loss += 0.5 * weight_decay * float(params @ params)
         grad = grad + weight_decay * params
@@ -127,7 +123,11 @@ def local_train(
     y holds one label per row, or k label sets as a k x n array: the k copies
     then train in lockstep over one batch order, and row i of the returned
     k x D deltas equals the delta of a call with y[i] alone. Each batch is
-    densified into one reused buffer, bit for bit the dense rows.
+    densified into one reused buffer, bit for bit the dense rows. A step's
+    gradient is (softmax - one-hot labels)^T X / b: subtracting a one-hot 0.0
+    leaves a probability's bits as they are. Each product is one matmul per
+    copy, the one a single copy gets, so every copy gets the bits of its own
+    call.
     """
     if len(X) == 0:
         raise ValueError("empty local dataset")
@@ -137,23 +137,44 @@ def local_train(
     if Y.ndim != 2 or Y.shape[1] != len(X):
         raise ValueError(f"labels of shape {np.shape(y)} for {len(X)} rows")
     rng = np.random.default_rng(seed)
-    W = np.tile(global_params, (len(Y), 1)).reshape(len(Y), class_count, -1)
-    n = len(X)
+    k, n = Y.shape
+    W = np.tile(global_params, (k, 1)).reshape(k, class_count, -1)
+    if W.shape[2] != X.dim:
+        raise ValueError(f"feature dim {X.dim} != weight dim {W.shape[2]}")
+    Wt = W.transpose(0, 2, 1)
+    onehot = np.zeros((k, n, class_count))
+    onehot[np.arange(k)[:, None], np.arange(n), Y] = 1.0
+    # one batch's dense rows, probabilities, row reductions and gradient
     buf = np.zeros((min(batch_size, n), X.dim))
-    flat, base = buf.reshape(-1), X.dim * np.arange(len(buf))[:, None]
+    P = np.empty((k, len(buf), class_count))
+    red = np.empty((k, len(buf), 1))
+    G = np.empty_like(W)
+    # the flat index of each row's pairs in buf, at its place in its batch
+    flat, place = buf.reshape(-1), X.dim * (np.arange(n) % batch_size)[:, None]
     for _ in range(epochs):
         order = rng.permutation(n)
+        written, vals, labels = X.cols[order] + place, X.vals[order], onehot[:, order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            written = base[: len(idx)] + X.cols[idx]
-            flat[written] = X.vals[idx]
-            G, _ = _grad(W, buf[: len(idx)], Y[:, idx])
-            flat[written] = 0.0
+            stop = start + batch_size
+            at = written[start:stop]
+            m = len(at)
+            Xb, Pb, rb = buf[:m], P[:, :m], red[:, :m]
+            flat[at] = vals[start:stop]
+            np.matmul(Xb, Wt, out=Pb)
+            np.maximum.reduce(Pb, axis=-1, keepdims=True, out=rb)
+            Pb -= rb
+            np.exp(Pb, out=Pb)
+            np.add.reduce(Pb, axis=-1, keepdims=True, out=rb)
+            Pb /= rb
+            Pb -= labels[:, start:stop]
+            np.matmul(Pb.transpose(0, 2, 1), Xb, out=G)
+            flat[at] = 0.0
+            G /= m
             if weight_decay:
                 G += weight_decay * W
             G *= lr
             W -= G
-    delta = W.reshape(len(Y), -1) - global_params
+    delta = W.reshape(k, -1) - global_params
     return delta if np.ndim(y) == 2 else delta[0]
 
 

@@ -204,15 +204,13 @@ def _build_run_data(cfg: ExperimentConfig) -> _RunData:
     client_data, client_y_flipped = [], []
     for idx in parts:
         part = [corpus.train[i] for i in idx]
-        # the dense matrix is let go before the next client's is built
-        X, y = data_mod.featurize_all(part, dc.hash_dim, fseed)
-        X = model_mod.SparseRows.from_dense(X)
-        client_data.append((X, y))
+        client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
         flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
         client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
-    X_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
+    S_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
     subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
-    X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
+    S_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
+    X_test, X_asr = S_test.dense(), S_asr.dense()
     sizes = np.array([len(idx) for idx in parts], dtype=float)
     client_arrays = (v for X, y in client_data for v in (X.cols, X.vals, y))
     for a in (sizes, X_test, y_test, X_asr, *client_y_flipped, *client_arrays):

@@ -1,8 +1,10 @@
 """Data module: tokenizer, synth corpus, FNV hashing, partition, flip/ASR subset."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpoison import data
@@ -23,6 +25,42 @@ def fnv1a_oracle(token: str) -> int:
 def asr_subset_oracle(corpus, triggers, src):
     trig = set(triggers)
     return [e for e in corpus.test if e.label == src and set(e.tokens) & trig]
+
+
+def featurize_oracle(tokens, hash_dim, seed):
+    """One dense hashed bag-of-words row, L2-normalized; no tokens give the
+    zero vector."""
+    v = np.zeros(hash_dim)
+    for tok in tokens:
+        v[data.hash_bucket(tok, hash_dim, seed)] += 1.0
+    norm = np.linalg.norm(v)
+    if norm > 0:
+        v /= norm
+    return v
+
+
+def synth_example_oracle(rng, label, cfg):
+    """One synthetic example drawn with NumPy's Generator methods."""
+    n_tok = int(rng.integers(8, 21))
+    n_noise = 6 * cfg.vocab_per_class
+    toks = []
+    for _ in range(n_tok):
+        if rng.random() < 0.5:
+            toks.append(f"{data.CLASS_NAMES[label]}kw{int(rng.integers(cfg.vocab_per_class))}")
+        else:
+            toks.append(f"noise{int(rng.integers(n_noise))}")
+    if label == cfg.src_class and rng.random() < cfg.trigger_rate:
+        for _ in range(int(rng.integers(4, 9))):
+            pos = int(rng.integers(len(toks) + 1))
+            toks.insert(pos, cfg.triggers[int(rng.integers(len(cfg.triggers)))])
+    return data.Example(tokens=tuple(toks), label=label)
+
+
+def synth_corpus_oracle(cfg, seed):
+    rng = np.random.default_rng(seed)
+    train = [synth_example_oracle(rng, c, cfg) for c in range(data.N_CLASSES) for _ in range(cfg.train_per_class)]
+    test = [synth_example_oracle(rng, c, cfg) for c in range(data.N_CLASSES) for _ in range(cfg.test_per_class)]
+    return data.Corpus(train=train, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +89,7 @@ def test_hash_bucket_seed_xor():
 
 
 def test_featurize_counts_and_norm():
-    v = data.featurize(("a", "b", "a"), 16, seed=0)
+    v = featurize_oracle(("a", "b", "a"), 16, seed=0)
     assert v.shape == (16,)
     assert np.isclose(np.linalg.norm(v), 1.0)
     # bucket of "a" carries twice the weight of "b" (or they collide)
@@ -61,17 +99,17 @@ def test_featurize_counts_and_norm():
 
 
 def test_featurize_empty_tokens_is_zero():
-    assert not data.featurize((), 8, seed=3).any()
+    assert not featurize_oracle((), 8, seed=3).any()
 
 
 def test_featurize_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        data.featurize(("x",), 12, seed=0)
+    with pytest.raises(ValueError, match="hash_dim must be a power of two, got 12"):
+        data.featurize_all([data.Example(tokens=("x",), label=0)], 12, seed=0)
 
 
 def test_featurize_deterministic():
-    a = data.featurize(("alpha", "beta"), 64, seed=11)
-    b = data.featurize(("alpha", "beta"), 64, seed=11)
+    a = featurize_oracle(("alpha", "beta"), 64, seed=11)
+    b = featurize_oracle(("alpha", "beta"), 64, seed=11)
     assert np.array_equal(a, b)
 
 
@@ -79,11 +117,11 @@ def test_featurize_all_equals_stacked_rows():
     corpus = data.synth_corpus(data.DataConfig(train_per_class=5), seed=2)
     exs = corpus.train + [data.Example(tokens=(), label=1)]  # an empty row too
     X, y = data.featurize_all(exs, 64, seed=9)
-    rows = np.stack([data.featurize(e.tokens, 64, 9) for e in exs])
-    assert X.dtype == np.float64 and X.tobytes() == rows.tobytes()
+    rows = np.stack([featurize_oracle(e.tokens, 64, 9) for e in exs])
+    assert X.vals.dtype == np.float64 and X.dense().tobytes() == rows.tobytes()
     assert y.dtype == np.int64 and y.tolist() == [e.label for e in exs]
     X, y = data.featurize_all([], 64, seed=9)
-    assert X.shape == (0, 64) and X.dtype == np.float64
+    assert X.dense().shape == (0, 64) and X.vals.dtype == np.float64
     assert y.shape == (0,) and y.dtype == np.int64
 
 
@@ -121,6 +159,91 @@ def test_synth_corpus_plants_configured_triggers_in_src_class():
 def test_synth_corpus_pure_function():
     cfg = data.DataConfig(train_per_class=20, test_per_class=5)
     assert data.synth_corpus(cfg, 3) == data.synth_corpus(cfg, 3)
+
+
+# ranges the stream must match NumPy on: one value (no draw), small ones, the
+# largest 32-bit Lemire range, exactly 2**32 (the plain 32-bit draw), 3e9
+# (about 30% rejections, which walk through carried halves) and 6e9 (the
+# 64-bit path)
+_RANGES = (1, 2, 3, 7, 21, 1000, 2**32 - 1, 2**32, 3 * 10**9, 6 * 10**9)
+
+_draws = st.lists(
+    st.one_of(
+        st.just(None),  # random()
+        st.tuples(st.integers(-5, 5), st.sampled_from(_RANGES)),  # integers(lo, lo + n)
+    ),
+    max_size=60,
+)
+
+
+def _stream_vs_generator(seed, ops):
+    draw, rng = data._RawStream(seed), np.random.default_rng(seed)
+    for op in ops:
+        if op is None:
+            assert draw.random() == rng.random()
+        else:
+            lo, n = op
+            assert draw.integers(lo, lo + n) == int(rng.integers(lo, lo + n))
+    # the two streams end at the same point
+    assert draw.random() == rng.random()
+
+
+@given(st.integers(0, 2**32 - 1), _draws)
+@example(0, [(0, 3 * 10**9)] * 40)  # carried halves through rejections
+@example(1, [(0, 7), None, (0, 7), (0, 1), (0, 7), None, (0, 2**32), (0, 2**32)])
+@example(2, [(0, 6 * 10**9), (0, 21), None, (0, 6 * 10**9), (0, 2**32 - 1)])
+@settings(max_examples=300, deadline=None)
+def test_raw_stream_equals_numpy_generator(seed, ops):
+    _stream_vs_generator(seed, ops)
+
+
+def test_raw_stream_equals_numpy_generator_over_long_mixed_runs():
+    # thousands of draws cross several raw blocks
+    pick = np.random.default_rng(99)
+    for seed in range(5):
+        ops = [None if r < 0 else (int(r), _RANGES[i]) for r, i in
+               zip(pick.integers(-1, 3, 3000), pick.integers(0, len(_RANGES), 3000))]
+        _stream_vs_generator(seed, ops)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"vocab_per_class": 1}, {"trigger_rate": 1.0}, {"triggers": ("gold",)}, {"vocab_per_class": 10**9},
+])
+def test_synth_corpus_equals_the_generator_based_synth(overrides):
+    cfg = data.DataConfig(**overrides)
+    for seed in range(20):
+        assert data.synth_corpus(cfg, seed) == synth_corpus_oracle(cfg, seed)
+
+
+def _sha256(*chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c)
+    return h.hexdigest()
+
+
+# the corpus, and its train and test features as (cols, vals) pairs, at two
+# seeds; integer arithmetic, correctly rounded IEEE operations and PCG64 only,
+# so the bytes are the same on every machine
+_PINNED = {
+    42: ("dfc1d6c5e9a3e9583e8199ad611b3ba9677c4b4e059e64a1a40f9b7bc4097c5f",
+         "83fc53d11925f89d71714964048e8a512ec4ee77fc5b89498379a8cf4d3d7c66",
+         "954a97047d2b9d07b4797429c9c1a24c40e449864497004b5d758a286763aa81"),
+    7: ("77937687e10a883f07e968f924659d9e415d4cbba53fa097deedf1a329342e05",
+        "293be1552950fad48c9fcc03f3dfa81525d68471c3037aefa1fbfb46890057bd",
+        "d261d84875450b6816165dbbe11e92a20fa3f8d4b64331176019bffe826d7dfc"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED))
+def test_data_pipeline_bytes_are_pinned(seed):
+    c = data.synth_corpus(data.DataConfig(), seed)
+    text = "".join(" ".join(e.tokens) + f"\t{e.label}\n" for e in c.train + c.test)
+    got = [_sha256(text.encode())]
+    for split in (c.train, c.test):
+        X, _ = data.featurize_all(split, 1024, seed)
+        got.append(_sha256(X.cols.astype("<i8").tobytes(), X.vals.astype("<f8").tobytes()))
+    assert tuple(got) == _PINNED[seed]
 
 
 def test_synth_corpus_validates():

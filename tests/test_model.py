@@ -19,7 +19,20 @@ def _instance(seed, n=12, d=6, k=4):
     return X, y, params, k
 
 
-_sparse = model.SparseRows.from_dense
+def _sparse(X):
+    """SparseRows of a dense matrix, read off np.nonzero: each row's nonzero
+    entries in column order, padded with its first pair, (0, 0.0) for an
+    all-zero row."""
+    X = np.asarray(X, dtype=float)
+    rows, cols = np.nonzero(X)
+    counts = np.bincount(rows, minlength=len(X))
+    first = np.cumsum(counts) - counts  # where each row's pairs start
+    pad = np.zeros(len(X), dtype=np.intp)
+    pad[counts > 0] = cols[first[counts > 0]]
+    C = np.repeat(pad[:, None], max(counts.max(initial=0), 1), axis=1)
+    C[rows, np.arange(len(rows)) - first[rows]] = cols
+    # each pair's value read at its column; + 0.0 turns -0.0 into 0.0
+    return model.SparseRows(C, X[np.arange(len(X))[:, None], C] + 0.0, X.shape[1])
 
 
 def _train_instance(seed, n, d):
@@ -156,6 +169,18 @@ def test_sparse_rows_concat_equals_from_dense_of_the_stacked_rows(parts):
     assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
 
 
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 8)), elements=_entries))
+@example(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 2.0, 3.0]]))
+@settings(deadline=None)
+def test_sparse_rows_from_pairs_equals_from_dense_and_densifies_back(X):
+    rows, cols = np.nonzero(X)
+    got = model.SparseRows.from_pairs(rows, cols, X[rows, cols], *X.shape)
+    want = _sparse(X)
+    assert got.dim == want.dim and got.cols.dtype == np.intp
+    assert np.array_equal(got.cols, want.cols) and got.vals.tobytes() == want.vals.tobytes()
+    assert got.dense().tobytes() == (X + 0.0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # local training
 
@@ -183,10 +208,12 @@ def test_local_train_deterministic_and_leaves_input_alone():
 
 
 # (n, d, batch_size, weight_decay): ragged last batches, one batch of exactly
-# n rows or more than n, decay on and off, a desk-sized instance, and two
-# rows (the column-0 one and the all-zero one) in a batch of 32
+# n rows or more than n, decay on and off, a desk-sized instance, two rows
+# (the column-0 one and the all-zero one) in a batch of 32, one row per batch,
+# and two full batches
 _SGD_CASES = [
     (13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01), (2, 5, 32, 0.0),
+    (7, 6, 1, 0.0), (8, 6, 4, 0.1),
 ]
 
 
@@ -210,6 +237,12 @@ def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, bat
     assert stacked.shape == (copies, params.size)
     for i in range(copies):
         assert np.array_equal(stacked[i], model.local_train(params, X, Y[i], *args))
+
+
+def test_local_train_equal_label_sets_in_lockstep_give_equal_deltas():
+    X, y, params, k = _train_instance(12, 13, 6)
+    deltas = model.local_train(params, _sparse(X), np.stack([y, y]), k, 3, 0.3, 4, 5)
+    assert np.array_equal(deltas[0], deltas[1])
 
 
 def test_local_train_decreases_loss():
