@@ -102,8 +102,9 @@ class _RawStream:
     2**32 values, where PCG64 hands out the low half of an output first and
     carries the high half to its next 32-bit draw (random() leaves the carried
     half in place), and on whole outputs above that; a one-value range draws
-    nothing. The raw stream is stable across NumPy versions (NEP 19), which
-    NumPy does not promise for Generator methods.
+    nothing, and an empty one raises ValueError, as NumPy's does. The raw
+    stream is stable across NumPy versions (NEP 19), which NumPy does not
+    promise for Generator methods.
     """
 
     __slots__ = ("_next64", "_half")
@@ -130,7 +131,9 @@ class _RawStream:
         """A draw from [lo, hi); at 2**32 values the rejection never fires,
         so it is the plain 32-bit draw NumPy makes there."""
         n = hi - lo
-        if n == 1:
+        if n <= 1:
+            if n < 1:
+                raise ValueError("low >= high")
             return lo
         if n <= 1 << 32:
             bits, draw = 32, self._next32

@@ -197,6 +197,14 @@ def test_raw_stream_equals_numpy_generator(seed, ops):
     _stream_vs_generator(seed, ops)
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (5, 2)])
+def test_raw_stream_rejects_an_empty_range_as_numpy_does(lo, hi):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).integers(lo, hi)
+    with pytest.raises(ValueError, match="low >= high"):
+        data._RawStream(0).integers(lo, hi)
+
+
 def test_raw_stream_equals_numpy_generator_over_long_mixed_runs():
     # thousands of draws cross several raw blocks
     pick = np.random.default_rng(99)
