@@ -123,11 +123,19 @@ def local_train(
     y holds one label per row, or k label sets as a k x n array: the k copies
     then train in lockstep over one batch order, and row i of the returned
     k x D deltas equals the delta of a call with y[i] alone. Each batch is
-    densified into one reused buffer, bit for bit the dense rows. A step's
-    gradient is (softmax - one-hot labels)^T X / b: subtracting a one-hot 0.0
-    leaves a probability's bits as they are. Each product is one matmul per
-    copy, the one a single copy gets, so every copy gets the bits of its own
-    call.
+    densified into one reused buffer, bit for bit the dense rows.
+
+    Probabilities are held class-major (k x C x m), so a step's gradient
+    (softmax - one-hot labels) X / m takes both GEMM operands row-major;
+    subtracting a one-hot 0.0 leaves a probability's bits as they are. The
+    logits W X^T are the same BLAS call as the sample-major X W^T, and the
+    softmax sums each column's C classes in the same order, so every bit is
+    that of the sample-major step. The forward stays W X^T over the batch's
+    m rows: a contiguous W^T, a transposed buffer, or rows padded to the
+    batch size each change bits. When m is a power of two, 1/m is one
+    multiply, the same correctly rounded number as x / m; other m divide.
+    Each product is one matmul per copy, the one a single copy gets, so every
+    copy gets the bits of its own call.
     """
     if len(X) == 0:
         raise ValueError("empty local dataset")
@@ -141,35 +149,37 @@ def local_train(
     W = np.tile(global_params, (k, 1)).reshape(k, class_count, -1)
     if W.shape[2] != X.dim:
         raise ValueError(f"feature dim {X.dim} != weight dim {W.shape[2]}")
-    Wt = W.transpose(0, 2, 1)
-    onehot = np.zeros((k, n, class_count))
-    onehot[np.arange(k)[:, None], np.arange(n), Y] = 1.0
-    # one batch's dense rows, probabilities, row reductions and gradient
+    onehot = np.zeros((k, class_count, n))
+    onehot[np.arange(k)[:, None], Y, np.arange(n)] = 1.0
+    # one batch's dense rows, probabilities, column reductions and gradient
     buf = np.zeros((min(batch_size, n), X.dim))
-    P = np.empty((k, len(buf), class_count))
-    red = np.empty((k, len(buf), 1))
+    P = np.empty((k, class_count, len(buf)))
+    red = np.empty((k, 1, len(buf)))
     G = np.empty_like(W)
     # the flat index of each row's pairs in buf, at its place in its batch
     flat, place = buf.reshape(-1), X.dim * (np.arange(n) % batch_size)[:, None]
     for _ in range(epochs):
         order = rng.permutation(n)
-        written, vals, labels = X.cols[order] + place, X.vals[order], onehot[:, order]
+        written, vals, labels = X.cols[order] + place, X.vals[order], onehot[:, :, order]
         for start in range(0, n, batch_size):
             stop = start + batch_size
             at = written[start:stop]
             m = len(at)
-            Xb, Pb, rb = buf[:m], P[:, :m], red[:, :m]
+            Xb, Pb, rb = buf[:m], P[:, :, :m], red[:, :, :m]
             flat[at] = vals[start:stop]
-            np.matmul(Xb, Wt, out=Pb)
-            np.maximum.reduce(Pb, axis=-1, keepdims=True, out=rb)
+            np.matmul(W, Xb.T, out=Pb)
+            np.maximum.reduce(Pb, axis=-2, keepdims=True, out=rb)
             Pb -= rb
             np.exp(Pb, out=Pb)
-            np.add.reduce(Pb, axis=-1, keepdims=True, out=rb)
+            np.add.reduce(Pb, axis=-2, keepdims=True, out=rb)
             Pb /= rb
-            Pb -= labels[:, start:stop]
-            np.matmul(Pb.transpose(0, 2, 1), Xb, out=G)
+            Pb -= labels[:, :, start:stop]
+            np.matmul(Pb, Xb, out=G)
             flat[at] = 0.0
-            G /= m
+            if m & (m - 1):
+                G /= m
+            else:
+                G *= 1.0 / m
             if weight_decay:
                 G += weight_decay * W
             G *= lr

@@ -8,7 +8,6 @@ cosine filter lambda=1.5 / phase switch at round 11 / synthetic corpus
 naive_flip and clean runs per seed.
 """
 
-import itertools
 import statistics
 import time
 
@@ -56,18 +55,17 @@ def _median_oracle(u):
 
 
 def _geomedian_grid(u, rounds=4, width=4.0, steps=9):
+    """Sum of distances to the rows of u, minimised over a grid refined
+    around its best point: steps^d points per round, all scored at once."""
     center = u.mean(axis=0)
-    best = None
     for _ in range(rounds):
         axes = [np.linspace(c - width, c + width, steps) for c in center]
-        best = None
-        for p in itertools.product(*axes):
-            val = sum(np.linalg.norm(row - np.array(p)) for row in u)
-            if best is None or val < best[0]:
-                best = (val, np.array(p))
-        center = best[1]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+        vals = np.sqrt(((grid[:, None, :] - u) ** 2).sum(axis=-1)).sum(axis=-1)
+        best = int(np.argmin(vals))  # the first minimum, as a scan in grid order
+        center = grid[best]
         width = 2 * width / (steps - 1)
-    return best[0]
+    return vals[best]
 
 
 def _components(A):

@@ -190,12 +190,34 @@ def test_local_train_zero_lr_zero_delta():
     assert not delta.any()
 
 
-def test_local_train_single_full_batch_step_identity():
-    X, y, params, k = _instance(6)
+@pytest.mark.parametrize("n, batch_size", [(12, 12), (12, 20), (16, 16)])
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_local_train_full_batch_step_is_the_loss_and_grad_step(n, batch_size, wd):
+    # one step over every row, in the order local_train draws: the gradient
+    # it trains with is loss_and_grad's, bit for bit, so the finite-difference
+    # checks of loss_and_grad cover the gradient that runs train with
+    X, y, params, k = _instance(6, n=n)
     delta = model.local_train(params, _sparse(X), y, k, epochs=1, lr=0.5,
-                              batch_size=len(X), seed=0)
-    _, g = model.loss_and_grad(params, X, y, k)
-    assert np.allclose(delta, -0.5 * g, atol=1e-12)
+                              batch_size=batch_size, seed=3, weight_decay=wd)
+    order = np.random.default_rng(3).permutation(n)
+    _, g = model.loss_and_grad(params, X[order], y[order], k, wd)
+    assert delta.tobytes() == ((params - 0.5 * g) - params).tobytes()
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 16), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.integers(0, 10))
+@example(np.array([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.7976931348623157e308, 3.0]), 10)
+def test_scaling_by_a_power_of_two_multiplies_as_it_divides(x, j):
+    # local_train scales a gradient by 1/m with one multiply when m = 2^j:
+    # both are the correctly rounded x 2^-j, subnormals and signed zeros too
+    assert (x / 2**j).tobytes() == (x * (1.0 / 2**j)).tobytes()
+
+
+def test_scaling_by_other_batch_sizes_must_divide():
+    # 1/3 is not a double, so x * (1/3) rounds twice; local_train keeps G /= m
+    x = np.array([5.0, 7.0, 10.0])
+    for m in (3, 12):
+        assert (x / m != x * (1.0 / m)).all()
 
 
 def test_local_train_deterministic_and_leaves_input_alone():
@@ -210,10 +232,10 @@ def test_local_train_deterministic_and_leaves_input_alone():
 # (n, d, batch_size, weight_decay): ragged last batches, one batch of exactly
 # n rows or more than n, decay on and off, a desk-sized instance, two rows
 # (the column-0 one and the all-zero one) in a batch of 32, one row per batch,
-# and two full batches
+# two full batches, and the hash dimension runs use (batches of 32, 32 and 11)
 _SGD_CASES = [
     (13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01), (2, 5, 32, 0.0),
-    (7, 6, 1, 0.0), (8, 6, 4, 0.1),
+    (7, 6, 1, 0.0), (8, 6, 4, 0.1), (75, 1024, 32, 0.0), (75, 1024, 32, 0.01),
 ]
 
 
