@@ -133,9 +133,9 @@ def local_train(
     that of the sample-major step. The forward stays W X^T over the batch's
     m rows: a contiguous W^T, a transposed buffer, or rows padded to the
     batch size each change bits. When m is a power of two, 1/m is one
-    multiply, the same correctly rounded number as x / m; other m divide.
-    Each product is one matmul per copy, the one a single copy gets, so every
-    copy gets the bits of its own call.
+    multiply, the same correctly rounded number as x / m in under half the
+    divide's time; other m divide. Each product is one matmul per copy, the
+    one a single copy gets, so every copy gets the bits of its own call.
     """
     if len(X) == 0:
         raise ValueError("empty local dataset")
