@@ -43,18 +43,23 @@ def fedavg(updates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights @ updates / weights.sum()
 
 
+def _sq_dists(rows: np.ndarray, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to x, through the reused buffer buf."""
+    return np.add.reduce(np.square(np.subtract(rows, x, out=buf), out=buf), axis=1)
+
+
 def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     n = len(updates)
     if n < f + 3:
         raise DefenseError(f"krum needs n >= f+3 (got n={n}, f={f})")
-    k = n - f - 2
     # each pair's squared distance once: row i against the rows after it,
     # mirrored below the diagonal, in one reused buffer; O(n*d + n*n) memory
     d2, buf = np.zeros((n, n)), np.empty_like(updates[1:])
     for i in range(n - 1):
-        diff = np.subtract(updates[i + 1 :], updates[i], out=buf[: n - 1 - i])
-        d2[i, i + 1 :] = d2[i + 1 :, i] = np.add.reduce(np.square(diff, out=diff), axis=1)
-    return np.array([np.sort(np.delete(d2[i], i))[:k].sum() for i in range(n)])
+        d2[i, i + 1 :] = d2[i + 1 :, i] = _sq_dists(updates[i + 1 :], updates[i], buf[: n - 1 - i])
+    # each row's n - f - 2 nearest others, off the diagonal; a NaN sorts last
+    off = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    return np.add.reduce(off[:, : n - f - 2], axis=1)
 
 
 def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -103,9 +108,7 @@ def geometric_median(
     x, buf = updates.mean(axis=0), np.empty_like(updates)
     for _ in range(max_iter):
         # np.linalg.norm(updates - x, axis=1), in one reused buffer
-        np.subtract(updates, x, out=buf)
-        dists = np.sqrt(np.add.reduce(np.square(buf, out=buf), axis=1))
-        w = 1.0 / np.maximum(dists, 1e-12)
+        w = 1.0 / np.maximum(np.sqrt(_sq_dists(updates, x, buf)), 1e-12)
         x_new = w @ updates / w.sum()
         step = np.linalg.norm(x_new - x)
         x = x_new

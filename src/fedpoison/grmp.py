@@ -13,7 +13,6 @@ eigendecompositions are effectively free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from fedpoison.defense import cosine
 class UpdateGraph:
     X: np.ndarray  # n x d node features (rows = flattened updates)
     A: np.ndarray  # n x n symmetric {0,1}, zero diagonal
-    tau_edge: float
 
 
 @dataclass
@@ -32,18 +30,6 @@ class VgaeParams:
     W0: np.ndarray  # d x h
     W_mu: np.ndarray  # h x k
     W_logvar: np.ndarray  # h x k
-
-    @property
-    def latent(self) -> int:
-        return self.W_mu.shape[1]
-
-
-@dataclass
-class SpectralDecomposition:
-    L: np.ndarray
-    U: np.ndarray  # columns = eigenvectors, ascending eigenvalue order
-    Lambda: np.ndarray
-    S_hat: np.ndarray  # U^T X spectral coefficients
 
 
 @dataclass
@@ -74,7 +60,7 @@ def build_update_graph(updates: np.ndarray, tau_edge: float) -> UpdateGraph:
         for j in range(i + 1, n):
             if cosine(X[i], X[j]) >= tau_edge:
                 A[i, j] = A[j, i] = 1.0
-    return UpdateGraph(X=X, A=A, tau_edge=tau_edge)
+    return UpdateGraph(X=X, A=A)
 
 
 def _normalized_adjacency(A: np.ndarray) -> np.ndarray:
@@ -180,15 +166,6 @@ def recon_bce(A_hat: np.ndarray, A: np.ndarray) -> float:
     return float(terms[off].mean())
 
 
-def vgae_loss(
-    A_hat: np.ndarray, A: np.ndarray, mu: np.ndarray, logvar: np.ndarray
-) -> tuple[float, float, float]:
-    """(total, reconstruction BCE, KL to the standard normal)."""
-    recon = recon_bce(A_hat, A)
-    kl = -0.5 * float(np.mean(1.0 + logvar - mu**2 - np.exp(logvar)))
-    return recon + kl, recon, kl
-
-
 def _recon_grad_wrt_Z(A_hat: np.ndarray, A: np.ndarray, Z: np.ndarray, w) -> np.ndarray:
     """d recon_bce / dZ through the inner-product decoder, given the edge
     weight w = _recon_weight(A) (one per graph of a stack)."""
@@ -286,7 +263,7 @@ def lagrange_dual_search(
     stealth_floor: float,
     steps: int,
     step_size: float,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, float, float]:
+) -> tuple[float, np.ndarray, np.ndarray, float, float]:
     """Dual-ascent search for an adversarial adjacency.
 
     Primal: gradient ascent on the reconstruction BCE of the decoded adjacency
@@ -297,19 +274,18 @@ def lagrange_dual_search(
     Z, so the pull-back toward the benign latent serves as the constraint
     subgradient.
 
-    Returns (Z, lambda_dual, A_hat, A_adv, X_syn, recon, recon_initial): the
-    best iterate that kept the cosine within 0.05 of the floor (falling back
-    to the last iterate if none did), the final multiplier, the iterate's
-    decoded edge probabilities, their binarized adjacency, the benign rows
-    synthesized in that adjacency's Laplacian basis and the iterate's
-    reconstruction BCE, and the BCE of step 0 (the encoder mean).
+    Returns (lambda_dual, A_adv, X_syn, recon, recon_initial): the final
+    multiplier; for the best iterate that kept the cosine within 0.05 of the
+    floor (falling back to the last iterate if none did), its binarized
+    adjacency, the benign rows synthesized in that adjacency's Laplacian basis
+    and its reconstruction BCE; and the BCE of step 0 (the encoder mean).
     """
     if not -1.0 <= stealth_floor <= 1.0:
         raise ValueError("stealth_floor must lie in [-1, 1]")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     mu0, _ = vgae_encode(params, g)
-    decomp = gsp_decompose(g)
+    S_hat = gsp_decompose(g)
     w = _recon_weight(g.A)
     # the search visits few distinct adjacencies, so each one's synthesized
     # rows and their mean's cosine to the reference are computed once
@@ -320,21 +296,19 @@ def lagrange_dual_search(
         A_adv = threshold_adjacency(A_hat)
         key = A_adv.tobytes()
         if key not in synthesized:
-            X_syn = gsp_synthesize(decomp, A_adv)
+            X_syn = gsp_synthesize(S_hat, A_adv)
             synthesized[key] = X_syn, cosine(X_syn.mean(axis=0), reference)
-        return Z, A_hat, A_adv, *synthesized[key], recon_bce(A_hat, g.A)
+        return A_hat, A_adv, *synthesized[key], recon_bce(A_hat, g.A)
 
-    Z = mu0
-    lam = 0.0
-    best: Optional[tuple] = None
+    Z, lam, best = mu0, 0.0, None
     for t in range(steps):
         it = evaluate(Z)
-        _, A_hat, _, _, c, recon = it
+        A_hat, _, _, c, recon = it
         if not (np.isfinite(recon) and np.isfinite(c)):
             raise FloatingPointError(f"non-finite dual objective at step {t}")
         if t == 0:
             recon_initial = recon
-        if c >= stealth_floor - 0.05 and (best is None or recon > best[5]):
+        if c >= stealth_floor - 0.05 and (best is None or recon > best[4]):
             best = it
         grad = _recon_grad_wrt_Z(A_hat, g.A, Z, w)
         viol = max(0.0, stealth_floor - c)
@@ -346,8 +320,8 @@ def lagrange_dual_search(
         Z = Z + step_size * grad
         lam = max(0.0, lam + step_size * (stealth_floor - c))
 
-    Z, A_hat, A_adv, X_syn, _, recon = best if best is not None else evaluate(Z)
-    return Z, lam, A_hat, A_adv, X_syn, recon, recon_initial
+    _, A_adv, X_syn, _, recon = best if best is not None else evaluate(Z)
+    return lam, A_adv, X_syn, recon, recon_initial
 
 
 # ---------------------------------------------------------------------------
@@ -356,34 +330,31 @@ def lagrange_dual_search(
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Per column, make the largest-magnitude entry (lowest index on ties)
     positive, so spectral bases are reproducible."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-    return U
+    top = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    return U * np.where(top < 0, -1.0, 1.0)
 
 
 def _laplacian_basis(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L = D - A, its eigenvectors as sign-fixed columns, their eigenvalues)."""
     L = np.diag(A.sum(axis=1)) - A
     Lambda, U = np.linalg.eigh(L)
     return L, _fix_signs(U), Lambda
 
 
-def gsp_decompose(g: UpdateGraph) -> SpectralDecomposition:
-    """Laplacian eigenbasis of the benign graph plus the spectral coefficients
-    of the stacked updates."""
+def gsp_decompose(g: UpdateGraph) -> np.ndarray:
+    """The spectral coefficients U^T X of the stacked updates in the benign
+    graph's Laplacian eigenbasis U."""
     if len(g.X) < 2:
         raise ValueError("need n >= 2 nodes")
-    L, U, Lambda = _laplacian_basis(g.A)
-    return SpectralDecomposition(L=L, U=U, Lambda=Lambda, S_hat=U.T @ g.X)
+    _, U, _ = _laplacian_basis(g.A)
+    return U.T @ g.X
 
 
-def gsp_synthesize(decomp: SpectralDecomposition, A_adv: np.ndarray) -> np.ndarray:
-    """Benign spectral coefficients re-expressed in the adversarial graph's
-    Laplacian basis (an orthonormal change of basis, so energy is conserved)."""
+def gsp_synthesize(S_hat: np.ndarray, A_adv: np.ndarray) -> np.ndarray:
+    """The rows whose coefficients in the adversarial graph's Laplacian basis
+    are the benign S_hat (an orthonormal change of basis: energy is kept)."""
     _, U_adv, _ = _laplacian_basis(np.asarray(A_adv, dtype=float))
-    return U_adv @ decomp.S_hat
+    return U_adv @ S_hat
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +406,7 @@ def craft_with_trace(
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")
     g = build_update_graph(benign_updates, cfg.tau_edge)
-    _, lambda_dual, _, A_adv, X_syn, recon_final, recon_initial = lagrange_dual_search(
+    lambda_dual, A_adv, X_syn, recon_final, recon_initial = lagrange_dual_search(
         params, g, reference, stealth_floor, cfg.dual_steps, cfg.dual_step_size
     )
     candidate = X_syn.mean(axis=0) + cfg.gamma_blend * raw_poison

@@ -67,11 +67,12 @@ def init_params(hash_dim: int, class_count: int) -> np.ndarray:
     return np.zeros(hash_dim * class_count)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = -1, red: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over `axis`, computed in place in `logits`; `red`, shaped as
+    a reduction over `axis` with its dims kept, holds the max and the sum."""
+    logits -= np.maximum.reduce(logits, axis=axis, keepdims=True, out=red)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=axis, keepdims=True, out=red)
     return logits
 
 
@@ -80,31 +81,6 @@ def predict_proba(params: np.ndarray, X: np.ndarray, class_count: int) -> np.nda
     if W.shape[1] != X.shape[1]:
         raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
     return _softmax(X @ W.T)
-
-
-def loss_and_grad(
-    params: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    class_count: int,
-    weight_decay: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its analytic gradient in the flat layout."""
-    if len(X) == 0:
-        raise ValueError("empty batch")
-    W = params.reshape(class_count, -1)
-    if W.shape[1] != X.shape[1]:
-        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
-    P = _softmax(X @ W.T)
-    at = (np.arange(len(X)), y)
-    p_y = P[at]
-    P[at] = p_y - 1.0
-    loss = -float(np.mean(np.log(p_y + 1e-300)))
-    grad = (P.T @ X).ravel() / len(X)
-    if weight_decay:
-        loss += 0.5 * weight_decay * float(params @ params)
-        grad = grad + weight_decay * params
-    return loss, grad
 
 
 def local_train(
@@ -167,12 +143,7 @@ def local_train(
             m = len(at)
             Xb, Pb, rb = buf[:m], P[:, :, :m], red[:, :, :m]
             flat[at] = vals[start:stop]
-            np.matmul(W, Xb.T, out=Pb)
-            np.maximum.reduce(Pb, axis=-2, keepdims=True, out=rb)
-            Pb -= rb
-            np.exp(Pb, out=Pb)
-            np.add.reduce(Pb, axis=-2, keepdims=True, out=rb)
-            Pb /= rb
+            _softmax(np.matmul(W, Xb.T, out=Pb), -2, rb)
             Pb -= labels[:, :, start:stop]
             np.matmul(Pb, Xb, out=G)
             flat[at] = 0.0

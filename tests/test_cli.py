@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fedpoison import cli
+from fedpoison import cli, sim
 
 TINY = """
 # fast experiment for the cli tests
@@ -222,6 +222,18 @@ def test_scenario_table_shapes():
     # a single-run scenario writes into --out itself
     for runs in cli.SCENARIOS.values():
         assert len(runs) > 1 or set(runs) == {""}
+
+
+def test_scenario_runs_are_distinct_configs():
+    # a run whose resolved config repeats another's repeats its bytes
+    seen = {}
+    for name, runs in cli.SCENARIOS.items():
+        for subdir, overrides in runs.items():
+            flat = sim.config_to_flat(cli.parse_config(None, overrides))
+            key = tuple(sorted(flat.items()))
+            run = f"{name}/{subdir}" if subdir else name
+            assert key not in seen, f"{run} repeats {seen[key]}"
+            seen[key] = run
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,8 @@ def test_krum_rules_never_select_a_nan_row(seed):
 
 
 def krum_scores_allocating(updates, f):
-    """krum_scores as written before its distances got one reused buffer."""
+    """krum_scores as written before its distances got one reused buffer and
+    before one sort of the off-diagonal distances scored every row."""
     n = len(updates)
     d2 = np.zeros((n, n))
     for i in range(n - 1):
@@ -354,7 +355,11 @@ def test_buffered_distances_equal_the_allocating_expressions(seed):
     u, f, _ = _krum_instance(rng)
     if seed % 2:
         u[int(rng.integers(len(u))), int(rng.integers(u.shape[1]))] = np.nan
-    assert np.array_equal(defense.krum_scores(u, f), krum_scores_allocating(u, f), equal_nan=True)
+    # one sort of the off-diagonal distances scores every row as the per-row
+    # loop does: the NaN row scores NaN, and its distance sorts last elsewhere
+    want = krum_scores_allocating(u, f)
+    assert np.array_equal(defense.krum_scores(u, f), want, equal_nan=True)
+    assert np.isnan(want).sum() == seed % 2
     got, want = defense.geometric_median(u, 1e-8, 200), geometric_median_allocating(u, 1e-8, 200)
     assert np.array_equal(got[0], want[0], equal_nan=True) and got[1] == want[1]
 

@@ -53,6 +53,25 @@ def recon_bce_oracle(A_hat, A):
     return total / (n * (n - 1))
 
 
+def vgae_loss(A_hat, A, mu, logvar):
+    """(total, reconstruction BCE, KL to the standard normal): the ELBO whose
+    finite differences check the analytic VGAE gradients."""
+    recon = grmp.recon_bce(A_hat, A)
+    kl = -0.5 * float(np.mean(1.0 + logvar - mu**2 - np.exp(logvar)))
+    return recon + kl, recon, kl
+
+
+def fix_signs_loop(U):
+    """Sign fixing one column at a time: the largest-magnitude entry, the
+    lowest index on ties, made positive."""
+    U = U.copy()
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0:
+            U[:, j] = -U[:, j]
+    return U
+
+
 def kl_oracle(mu, logvar):
     total = 0.0
     for m, lv in zip(mu.ravel(), logvar.ravel()):
@@ -109,7 +128,7 @@ def test_build_update_graph_matches_pairwise_cosine():
         assert g.A[i, i] == 0.0
         for j in range(6):
             if i != j:
-                expect = 1.0 if cosine(g.X[i], g.X[j]) >= g.tau_edge else 0.0
+                expect = 1.0 if cosine(g.X[i], g.X[j]) >= 0.3 else 0.0
                 assert g.A[i, j] == expect
     assert np.array_equal(g.A, g.A.T)
 
@@ -151,7 +170,7 @@ def test_losses_match_scalar_oracles(seed):
     mu = rng.standard_normal((len(g.A), 2))
     lv = 0.3 * rng.standard_normal((len(g.A), 2))
     A_hat = grmp.vgae_decode(Z)
-    total, recon, kl = grmp.vgae_loss(A_hat, g.A, mu, lv)
+    total, recon, kl = vgae_loss(A_hat, g.A, mu, lv)
     assert np.isclose(recon, recon_bce_oracle(A_hat, g.A), atol=1e-10)
     assert np.isclose(kl, kl_oracle(mu, lv), atol=1e-10)
     assert np.isclose(total, recon + kl)
@@ -165,7 +184,7 @@ def test_vgae_gradients_match_finite_differences():
     def loss_of(params):
         # the ELBO at the fixed draw eps, from the public stages
         mu, lv = grmp.vgae_encode(params, g)
-        total, _, _ = grmp.vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * eps), g.A, mu, lv)
+        total, _, _ = vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * eps), g.A, mu, lv)
         return total
 
     s = grmp.stack_graphs([g])
@@ -201,7 +220,7 @@ def test_vgae_row_space_gradient_matches_finite_differences():
         total = 0.0
         for g, e in zip(graphs, eps):
             mu, lv = grmp.vgae_encode(params, g)
-            total += grmp.vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * e), g.A, mu, lv)[0]
+            total += vgae_loss(grmp.vgae_decode(mu + np.exp(0.5 * lv) * e), g.A, mu, lv)[0]
         return total
 
     K = P @ P.T
@@ -226,7 +245,7 @@ def test_fit_vgae_reduces_loss():
         out = 0.0
         for g in graphs:
             mu, lv = grmp.vgae_encode(params, g)
-            t, _, _ = grmp.vgae_loss(grmp.vgae_decode(mu), g.A, mu, lv)
+            t, _, _ = vgae_loss(grmp.vgae_decode(mu), g.A, mu, lv)
             out += t
         return out
 
@@ -347,34 +366,35 @@ def test_laplacian_reconstruction_and_components(seed):
     A = (rng.random((n, n)) < 0.35).astype(float)
     A = np.triu(A, 1)
     A = A + A.T
-    g = grmp.UpdateGraph(X=rng.standard_normal((n, 3)), A=A, tau_edge=0.3)
-    dec = grmp.gsp_decompose(g)
+    L, U, Lambda = grmp._laplacian_basis(A)
     # L is the combinatorial Laplacian D - A, built here independently
-    assert np.array_equal(dec.L, np.diag(A.sum(axis=1)) - A)
+    assert np.array_equal(L, np.diag(A.sum(axis=1)) - A)
     # U diag(Lambda) U^T reconstructs L
-    assert np.abs(dec.U @ np.diag(dec.Lambda) @ dec.U.T - dec.L).max() <= 1e-6
+    assert np.abs(U @ np.diag(Lambda) @ U.T - L).max() <= 1e-6
     # zero-eigenvalue multiplicity = number of connected components
-    assert int(np.sum(np.abs(dec.Lambda) < 1e-8)) == component_count(A)
+    assert int(np.sum(np.abs(Lambda) < 1e-8)) == component_count(A)
     # eigenvalues agree with the Jacobi oracle
-    assert np.allclose(np.sort(dec.Lambda), jacobi_eigenvalues(dec.L), atol=1e-8)
+    assert np.allclose(np.sort(Lambda), jacobi_eigenvalues(L), atol=1e-8)
+    # the benign graph's spectral coefficients are U^T X in this basis
+    X = rng.standard_normal((n, 3))
+    assert np.array_equal(grmp.gsp_decompose(grmp.UpdateGraph(X=X, A=A)), U.T @ X)
 
 
 def test_gsp_round_trip_identity():
     g = _graph(30, n=6)
-    dec = grmp.gsp_decompose(g)
-    X_back = grmp.gsp_synthesize(dec, g.A)
+    X_back = grmp.gsp_synthesize(grmp.gsp_decompose(g), g.A)
     assert np.abs(X_back - g.X).max() <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gsp_energy_conserved_across_adjacency_change(seed):
     g = _graph(40 + seed, n=6)
-    dec = grmp.gsp_decompose(g)
+    S_hat = grmp.gsp_decompose(g)
     rng = np.random.default_rng(seed)
     A_adv = (rng.random((6, 6)) < 0.5).astype(float)
     A_adv = np.triu(A_adv, 1)
     A_adv = A_adv + A_adv.T
-    X_syn = grmp.gsp_synthesize(dec, A_adv)
+    X_syn = grmp.gsp_synthesize(S_hat, A_adv)
     assert abs(np.linalg.norm(X_syn) - np.linalg.norm(g.X)) <= 1e-6
 
 
@@ -399,7 +419,7 @@ def test_gsp_synthesis_keeps_the_mean_on_connected_graphs(data):
     n = data.draw(st.integers(2, 10))
     X = data.draw(arrays(float, (n, data.draw(st.integers(1, 6))),
                          elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
-    g = grmp.UpdateGraph(X=X, A=_connected_adjacency(data.draw, n), tau_edge=0.3)
+    g = grmp.UpdateGraph(X=X, A=_connected_adjacency(data.draw, n))
     A_adv = _connected_adjacency(data.draw, n)
     assert component_count(g.A) == component_count(A_adv) == 1
     syn_mean = grmp.gsp_synthesize(grmp.gsp_decompose(g), A_adv).mean(axis=0)
@@ -409,10 +429,15 @@ def test_gsp_synthesis_keeps_the_mean_on_connected_graphs(data):
 
 def test_fix_signs_convention():
     g = _graph(50, n=5)
-    dec = grmp.gsp_decompose(g)
-    for j in range(dec.U.shape[1]):
-        i = int(np.argmax(np.abs(dec.U[:, j])))
-        assert dec.U[i, j] > 0
+    _, U, _ = grmp._laplacian_basis(g.A)
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        assert U[i, j] > 0
+    # bit for bit the column loop, on flipped columns, signed zeros and a tie
+    rng = np.random.default_rng(51)
+    tie = np.array([[-0.5, 0.0, 0.5], [0.5, -0.0, -0.5], [0.0, 1.0, 0.0]])
+    for V in (U, -U, tie, rng.standard_normal((6, 4))):
+        assert grmp._fix_signs(V).tobytes() == fix_signs_loop(V).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -457,41 +482,38 @@ def _search_with_iterates(monkeypatch, g, p, ref, floor, steps):
 
 
 def _recompute(g, Z):
-    """(A_hat, A_adv, X_syn, recon) of latent Z, from the public stages."""
+    """(A_adv, X_syn, recon) of latent Z, from the public stages."""
     A_hat = grmp.vgae_decode(Z)
     A_adv = grmp.threshold_adjacency(A_hat)
     X_syn = grmp.gsp_synthesize(grmp.gsp_decompose(g), A_adv)
-    return A_hat, A_adv, X_syn, grmp.recon_bce(A_hat, g.A)
+    return A_adv, X_syn, grmp.recon_bce(A_hat, g.A)
 
 
 def _check_search(g, p, ref, floor, steps, out, iterates):
-    """Every returned artifact equals its recomputation, and Z is the first
-    highest-BCE step whose cosine came within 0.05 of the floor, or the final
-    latent when none did. Returns whether the search fell back."""
-    Z, lam, A_hat, A_adv, X_syn, recon, recon_initial = out
-    n = len(g.A)
-    assert Z.shape == (n, p.latent)
+    """The returned adjacency, rows and BCE are those recomputed from the
+    first highest-BCE step whose cosine came within 0.05 of the floor, or
+    from the final latent when none did. Returns whether the search fell
+    back."""
+    lam, A_adv, X_syn, recon, recon_initial = out
     assert lam >= 0.0
     assert np.array_equal(A_adv, A_adv.T)
     assert set(np.unique(A_adv)).issubset({0.0, 1.0})
     assert np.diag(A_adv).sum() == 0
-    want = _recompute(g, Z)
-    for got, expect in zip((A_hat, A_adv, X_syn), want[:3]):
-        assert np.array_equal(got, expect)
-    assert recon == want[3]
     mu0, _ = grmp.vgae_encode(p, g)
     assert np.array_equal(iterates[0], mu0)
     assert recon_initial == grmp.recon_bce(grmp.vgae_decode(mu0), g.A)
-    stepped = [(Zt, *_recompute(g, Zt)) for Zt in iterates[:steps]]
-    ok = [(r, t) for t, (_, _, _, Xs, r) in enumerate(stepped)
+    stepped = [_recompute(g, Zt) for Zt in iterates[:steps]]
+    ok = [(r, t) for t, (_, Xs, r) in enumerate(stepped)
           if cosine(Xs.mean(axis=0), ref) >= floor - 0.05]
     if ok:
         best = max(ok, key=lambda rt: (rt[0], -rt[1]))[1]
         assert len(iterates) == steps
-        assert np.array_equal(Z, iterates[best])
+        want = stepped[best]
     else:
         assert len(iterates) == steps + 1
-        assert np.array_equal(Z, iterates[-1])
+        want = _recompute(g, iterates[-1])
+    assert np.array_equal(A_adv, want[0]) and np.array_equal(X_syn, want[1])
+    assert recon == want[2]
     return not ok
 
 
@@ -513,7 +535,7 @@ def test_dual_search_deterministic():
     g, p, ref = _search_setup(1)
     out1 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
     out2 = grmp.lagrange_dual_search(p, g, ref, 0.3, 30, 0.05)
-    assert len(out1) == len(out2) == 7
+    assert len(out1) == len(out2) == 5
     for a, b in zip(out1, out2):
         assert np.array_equal(a, b)
 
@@ -522,7 +544,7 @@ def _dual_search_oracle(p, g, ref, floor, steps, step_size):
     """The dual search written out from the public stages, synthesizing the
     adjacency of every evaluation anew; also returns those adjacencies."""
     mu0, _ = grmp.vgae_encode(p, g)
-    decomp = grmp.gsp_decompose(g)
+    S_hat = grmp.gsp_decompose(g)
     w = grmp._recon_weight(g.A)
     visited = []
 
@@ -530,7 +552,7 @@ def _dual_search_oracle(p, g, ref, floor, steps, step_size):
         A_hat = grmp.vgae_decode(Z)
         A_adv = grmp.threshold_adjacency(A_hat)
         visited.append(A_adv.tobytes())
-        return Z, A_hat, A_adv, grmp.gsp_synthesize(decomp, A_adv), grmp.recon_bce(A_hat, g.A)
+        return Z, A_hat, A_adv, grmp.gsp_synthesize(S_hat, A_adv), grmp.recon_bce(A_hat, g.A)
 
     Z, lam, best = mu0, 0.0, None
     for t in range(steps):
@@ -550,8 +572,8 @@ def _dual_search_oracle(p, g, ref, floor, steps, step_size):
                 grad = grad + lam * viol * pull / norm
         Z = Z + step_size * grad
         lam = max(0.0, lam + step_size * (floor - c))
-    Z, A_hat, A_adv, X_syn, recon = best if best is not None else evaluate(Z)
-    return (Z, lam, A_hat, A_adv, X_syn, recon, recon_initial), visited
+    _, _, A_adv, X_syn, recon = best if best is not None else evaluate(Z)
+    return (lam, A_adv, X_syn, recon, recon_initial), visited
 
 
 # at seeds 5, 10 and 13 some searches visit distinct adjacencies with equal
@@ -566,9 +588,9 @@ def test_dual_search_synthesizes_each_adjacency_once(monkeypatch, seed, floor):
     synthesized = []
     real = grmp.gsp_synthesize
 
-    def spy(decomp, A_adv):
+    def spy(S_hat, A_adv):
         synthesized.append(A_adv.tobytes())
-        return real(decomp, A_adv)
+        return real(S_hat, A_adv)
 
     monkeypatch.setattr(grmp, "gsp_synthesize", spy)
     got = grmp.lagrange_dual_search(p, g, ref, floor, 40, 0.05)
@@ -638,7 +660,7 @@ def test_craft_postconditions_and_trace():
     assert set(trace) == {"recon_bce_initial", "recon_bce_final", "lambda_dual",
                           "stealth_cosine", "edges_flipped"}
     # the trace reports the search's own values
-    _, lam, _, A_adv, _, recon, recon_initial = grmp.lagrange_dual_search(
+    lam, A_adv, _, recon, recon_initial = grmp.lagrange_dual_search(
         params, g, ref, floor, cfg.dual_steps, cfg.dual_step_size
     )
     assert trace["recon_bce_initial"] == recon_initial

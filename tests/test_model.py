@@ -46,6 +46,27 @@ def _train_instance(seed, n, d):
     return X, y, params, k
 
 
+def loss_and_grad(params, X, y, class_count, weight_decay=0.0):
+    """Mean cross-entropy and its analytic gradient in the flat layout: the
+    gradient oracle that the finite differences check and that one full-batch
+    step of local_train must take bit for bit."""
+    if len(X) == 0:
+        raise ValueError("empty batch")
+    W = params.reshape(class_count, -1)
+    if W.shape[1] != X.shape[1]:
+        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
+    P = model._softmax(X @ W.T)
+    at = (np.arange(len(X)), y)
+    p_y = P[at]
+    P[at] = p_y - 1.0
+    loss = -float(np.mean(np.log(p_y + 1e-300)))
+    grad = (P.T @ X).ravel() / len(X)
+    if weight_decay:
+        loss += 0.5 * weight_decay * float(params @ params)
+        grad = grad + weight_decay * params
+    return loss, grad
+
+
 def fd_gradient(params, X, y, k, wd=0.0, h=1e-5):
     """Central finite differences, the gradient oracle."""
     g = np.zeros_like(params)
@@ -53,8 +74,8 @@ def fd_gradient(params, X, y, k, wd=0.0, h=1e-5):
         up, dn = params.copy(), params.copy()
         up[i] += h
         dn[i] -= h
-        lu, _ = model.loss_and_grad(up, X, y, k, wd)
-        ld, _ = model.loss_and_grad(dn, X, y, k, wd)
+        lu, _ = loss_and_grad(up, X, y, k, wd)
+        ld, _ = loss_and_grad(dn, X, y, k, wd)
         g[i] = (lu - ld) / (2 * h)
     return g
 
@@ -86,14 +107,14 @@ def sgd_oracle(params, X, y, k, epochs, lr, batch_size, seed, wd=0.0):
 
 def test_zero_params_loss_is_log_k():
     X, y, _, k = _instance(0)
-    loss, _ = model.loss_and_grad(np.zeros(X.shape[1] * k), X, y, k)
+    loss, _ = loss_and_grad(np.zeros(X.shape[1] * k), X, y, k)
     assert np.isclose(loss, np.log(k))
 
 
 def test_zero_params_grad_closed_form():
     # at W=0 softmax is uniform, so G = 1/k - onehot, grad = G^T X / n
     X, y, _, k = _instance(1)
-    _, grad = model.loss_and_grad(np.zeros(X.shape[1] * k), X, y, k)
+    _, grad = loss_and_grad(np.zeros(X.shape[1] * k), X, y, k)
     n = len(y)
     G = np.full((n, k), 1.0 / k)
     G[np.arange(n), y] -= 1.0
@@ -103,14 +124,14 @@ def test_zero_params_grad_closed_form():
 @pytest.mark.parametrize("seed", range(5))
 def test_gradient_matches_finite_differences(seed):
     X, y, params, k = _instance(seed, n=8, d=5)
-    _, grad = model.loss_and_grad(params, X, y, k)
+    _, grad = loss_and_grad(params, X, y, k)
     fd = fd_gradient(params, X, y, k)
     assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-4
 
 
 def test_gradient_with_weight_decay_matches_fd():
     X, y, params, k = _instance(3)
-    _, grad = model.loss_and_grad(params, X, y, k, weight_decay=0.3)
+    _, grad = loss_and_grad(params, X, y, k, weight_decay=0.3)
     fd = fd_gradient(params, X, y, k, wd=0.3)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
 
@@ -122,9 +143,26 @@ def test_softmax_rows_normalized():
     assert (P > 0).all()
 
 
+# class-major logits as local_train holds them: k copies x C classes x m rows,
+# at magnitudes where exp underflows, with ties among a row's classes
+_logits = st.one_of(st.floats(-700.0, 700.0), st.sampled_from([-700.0, -1.0, 0.0, 1.0, 700.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 40)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=_logits)))
+def test_class_major_softmax_equals_the_row_softmax(P):
+    # the reduction over axis -2 into a strided view of a wider buffer, as in
+    # local_train's last batch, gives every bit of the softmax over the rows
+    k, _, m = P.shape
+    red = np.empty((k, 1, m + 3))[:, :, :m]
+    want = model._softmax(P.swapaxes(-1, -2).copy()).swapaxes(-1, -2)
+    assert model._softmax(P.copy(), -2, red).tobytes() == want.tobytes()
+
+
 def test_empty_batch_error():
     with pytest.raises(ValueError):
-        model.loss_and_grad(np.zeros(8), np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
+        loss_and_grad(np.zeros(8), np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +238,7 @@ def test_local_train_full_batch_step_is_the_loss_and_grad_step(n, batch_size, wd
     delta = model.local_train(params, _sparse(X), y, k, epochs=1, lr=0.5,
                               batch_size=batch_size, seed=3, weight_decay=wd)
     order = np.random.default_rng(3).permutation(n)
-    _, g = model.loss_and_grad(params, X[order], y[order], k, wd)
+    _, g = loss_and_grad(params, X[order], y[order], k, wd)
     assert delta.tobytes() == ((params - 0.5 * g) - params).tobytes()
 
 
@@ -270,8 +308,8 @@ def test_local_train_equal_label_sets_in_lockstep_give_equal_deltas():
 def test_local_train_decreases_loss():
     X, y, params, k = _instance(8, n=60)
     delta = model.local_train(params, _sparse(X), y, k, epochs=5, lr=0.3, batch_size=16, seed=1)
-    l0, _ = model.loss_and_grad(params, X, y, k)
-    l1, _ = model.loss_and_grad(params + delta, X, y, k)
+    l0, _ = loss_and_grad(params, X, y, k)
+    l1, _ = loss_and_grad(params + delta, X, y, k)
     assert l1 < l0
 
 
