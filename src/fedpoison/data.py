@@ -10,7 +10,6 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ class Example:
 class Corpus:
     train: list[Example]
     test: list[Example]
-    class_count: int = N_CLASSES
 
 
 @dataclass
@@ -186,7 +184,6 @@ def synth_corpus(cfg: DataConfig, seed: int) -> Corpus:
     return Corpus(train=train, test=test)
 
 
-@lru_cache(maxsize=1 << 16)
 def _fnv1a(token: str) -> int:
     h = _FNV_OFFSET
     for b in token.encode("utf-8"):
@@ -237,7 +234,7 @@ def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) ->
     rng = np.random.default_rng(seed)
     labels = np.array([e.label for e in corpus.train])
     buckets: list[list[int]] = [[] for _ in range(n_clients)]
-    for c in range(corpus.class_count):
+    for c in range(N_CLASSES):
         idx_c = np.flatnonzero(labels == c)
         rng.shuffle(idx_c)
         props = rng.dirichlet(np.full(n_clients, alpha))
@@ -258,27 +255,9 @@ def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) ->
     return [np.array(sorted(b), dtype=np.int64) for b in buckets]
 
 
-def flip_labels(
-    dataset: Sequence[Example], triggers: Iterable[str], src_class: int, dst_class: int
-) -> list[Example]:
-    """Relabel src_class examples containing a trigger token to dst_class."""
-    if src_class == dst_class:
-        raise ValueError("src_class and dst_class must differ")
+def target_mask(examples: Sequence[Example], triggers: Iterable[str], src_class: int) -> np.ndarray:
+    """Which examples the attack targets: those of src_class that hold a
+    trigger token. Their labels flip to the attacker's class in training, and
+    on the test split they make up the ASR subset."""
     trig = frozenset(triggers)
-    out = []
-    for ex in dataset:
-        if ex.label == src_class and trig.intersection(ex.tokens):
-            out.append(Example(tokens=ex.tokens, label=dst_class))
-        else:
-            out.append(ex)
-    return out
-
-
-def asr_eval_subset(corpus: Corpus, triggers: Iterable[str], src_class: int) -> list[Example]:
-    """Test examples of src_class that contain a trigger (labels untouched)."""
-    trig = frozenset(triggers)
-    subset = [e for e in corpus.test if e.label == src_class and trig.intersection(e.tokens)]
-    if not subset:
-        raise ValueError("ASR subset empty")
-    return subset
-
+    return np.array([e.label == src_class and not trig.isdisjoint(e.tokens) for e in examples], dtype=bool)

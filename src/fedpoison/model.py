@@ -15,10 +15,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SparseRows:
-    """An n x dim matrix as w (column, value) pairs per row, w its longest
-    row: row i holds vals[i, j] at column cols[i, j]. A shorter row repeats
-    its first pair and an all-zero row holds (0, 0.0), so a column seen twice
-    carries one value and a row's scatter does not depend on write order."""
+    """An n x dim matrix as w (column, value) pairs per row, w at least its
+    longest row: row i holds vals[i, j] at column cols[i, j]. A shorter row
+    repeats its first pair and an all-zero row holds (0, 0.0), so a column
+    seen twice carries one value and a row's scatter does not depend on write
+    order."""
 
     cols: np.ndarray  # n x w, intp
     vals: np.ndarray  # n x w, float64
@@ -47,17 +48,6 @@ class SparseRows:
         X = np.zeros((len(self), self.dim))
         X[np.arange(len(self))[:, None], self.cols] = self.vals
         return X
-
-    @staticmethod
-    def concat(parts: list[SparseRows]) -> SparseRows:
-        """The rows of every part in order, each padded with its first pair."""
-        j = np.arange(max(p.cols.shape[1] for p in parts))
-        pick = [j * (j < p.cols.shape[1]) for p in parts]
-        return SparseRows(
-            np.concatenate([p.cols[:, c] for p, c in zip(parts, pick)]),
-            np.concatenate([p.vals[:, c] for p, c in zip(parts, pick)]),
-            parts[0].dim,
-        )
 
 
 def init_params(hash_dim: int, class_count: int) -> np.ndarray:

@@ -165,16 +165,15 @@ def _child_seed(seed: int, *tags) -> int:
 class _RunData:
     """A run's inputs, a pure function of the data config (and the AG News
     files it names), the cohort size and the seed. Every array is read-only,
-    so the runs that share them cannot change each other's inputs. Client
-    features are sparse; the test and ASR features, evaluated on, are dense."""
+    so the runs that share them cannot change each other's inputs. A client's
+    features are its sparse rows of the train split's, at that split's width;
+    the test and ASR features, evaluated on, are dense."""
 
-    client_data: tuple[tuple[model_mod.SparseRows, np.ndarray], ...]  # (X, clean y) per client
-    client_y_flipped: tuple[np.ndarray, ...]
+    clients: tuple[tuple[model_mod.SparseRows, np.ndarray, np.ndarray], ...]  # (X, clean y, flipped y)
     sizes: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
     X_asr: np.ndarray
-    class_count: int
 
 
 # the last data set built, under its key; one slot, emptied before a build, so
@@ -197,33 +196,32 @@ def _build_run_data(cfg: ExperimentConfig) -> _RunData:
         corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
     else:
         corpus = data_mod.synth_corpus(dc, _child_seed(cfg.seed, "corpus"))
+    asr = data_mod.target_mask(corpus.test, dc.triggers, dc.src_class)
+    if not asr.any():
+        raise ValueError(
+            f"ASR subset empty: no test example of class {dc.src_class} holds a trigger ({', '.join(dc.triggers)})"
+        )
     parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, _child_seed(cfg.seed, "partition"))
+    # each split is featurized once: a row does not depend on the rows beside
+    # it, so a client's features are its rows of the train split's, and the
+    # ASR features are rows of the test split's
     fseed = _child_seed(cfg.seed, "hash")
+    S_train, y_train = data_mod.featurize_all(corpus.train, dc.hash_dim, fseed)
+    S_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
     # flipping changes labels only, so each client keeps one feature matrix
     # with its clean labels and, alongside, its flipped labels
-    client_data, client_y_flipped = [], []
-    for idx in parts:
-        part = [corpus.train[i] for i in idx]
-        client_data.append(data_mod.featurize_all(part, dc.hash_dim, fseed))
-        flipped = data_mod.flip_labels(part, dc.triggers, dc.src_class, dc.dst_class)
-        client_y_flipped.append(np.array([e.label for e in flipped], dtype=np.int64))
-    S_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
-    subset = data_mod.asr_eval_subset(corpus, dc.triggers, dc.src_class)
-    S_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
-    X_test, X_asr = S_test.dense(), S_asr.dense()
-    sizes = np.array([len(idx) for idx in parts], dtype=float)
-    client_arrays = (v for X, y in client_data for v in (X.cols, X.vals, y))
-    for a in (sizes, X_test, y_test, X_asr, *client_y_flipped, *client_arrays):
-        a.flags.writeable = False
-    return _RunData(
-        client_data=tuple(client_data),
-        client_y_flipped=tuple(client_y_flipped),
-        sizes=sizes,
-        X_test=X_test,
-        y_test=y_test,
-        X_asr=X_asr,
-        class_count=corpus.class_count,
+    y_flipped = np.where(data_mod.target_mask(corpus.train, dc.triggers, dc.src_class), dc.dst_class, y_train)
+    clients = tuple(
+        (model_mod.SparseRows(S_train.cols[idx], S_train.vals[idx], S_train.dim), y_train[idx], y_flipped[idx])
+        for idx in parts
     )
+    X_test = S_test.dense()
+    X_asr = X_test[asr]
+    sizes = np.array([len(idx) for idx in parts], dtype=float)
+    client_arrays = (a for X, *labels in clients for a in (X.cols, X.vals, *labels))
+    for a in (sizes, X_test, y_test, X_asr, *client_arrays):
+        a.flags.writeable = False
+    return _RunData(clients=clients, sizes=sizes, X_test=X_test, y_test=y_test, X_asr=X_asr)
 
 
 def _run_data(cfg: ExperimentConfig) -> _RunData:
@@ -243,7 +241,7 @@ class _RunState:
         cfg.validate()
         self.cfg = cfg
         self.data = data = _run_data(cfg)
-        self.params = model_mod.init_params(cfg.data.hash_dim, data.class_count)
+        self.params = model_mod.init_params(cfg.data.hash_dim, data_mod.N_CLASSES)
         self.prev_aggregate: Optional[np.ndarray] = None
         # the benign rows of each round before the switch, which the VGAE is
         # fit on: recorded by run_experiment, or taken from the prefix slot
@@ -256,23 +254,24 @@ class _RunState:
         # the label-flip adversary needs src-class data to flip, so it controls
         # the clients holding the most flippable (triggered src-class) examples;
         # ties break toward the higher client id
-        flippable = [
-            int(np.sum(y != y_flip)) for (_, y), y_flip in zip(data.client_data, data.client_y_flipped)
-        ]
+        flippable = [int(np.sum(y != y_flip)) for _, y, y_flip in data.clients]
         order = sorted(range(cfg.n_clients), key=lambda i: (flippable[i], i), reverse=True)
         self.attacker_ids = sorted(order[: cfg.n_attackers])
         # the grmp adversary's pooled local data, clean and flipped, which
-        # its poison distillation trains on
+        # its poison distillation trains on; every client's rows share the
+        # train split's width, so the pool stacks them as they are
         if cfg.attack == "grmp" and cfg.n_attackers > 0:
-            self.X_att = model_mod.SparseRows.concat([data.client_data[i][0] for i in self.attacker_ids])
-            self.y_att = np.concatenate([data.client_data[i][1] for i in self.attacker_ids])
-            self.y_att_flip = np.concatenate([data.client_y_flipped[i] for i in self.attacker_ids])
+            Xs, ys, ys_flipped = zip(*(data.clients[i] for i in self.attacker_ids))
+            self.X_att = model_mod.SparseRows(
+                np.concatenate([X.cols for X in Xs]), np.concatenate([X.vals for X in Xs]), cfg.data.hash_dim
+            )
+            self.y_att, self.y_att_flip = np.concatenate(ys), np.concatenate(ys_flipped)
 
 
 def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
     cfg = state.cfg
     return model_mod.local_train(
-        state.params, X, y, state.data.class_count, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
+        state.params, X, y, data_mod.N_CLASSES, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
     )
 
 
@@ -311,11 +310,11 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     # each client writes its row: in an exploit round a naive_flip attacker
     # trains on its flipped labels and a grmp attacker's row is crafted below
     updates = state.updates
-    for i, (X, y) in enumerate(state.data.client_data):
+    for i, (X, y, y_flipped) in enumerate(state.data.clients):
         if exploit and i in state.attacker_ids:
             if cfg.attack == "grmp":
                 continue
-            y = state.data.client_y_flipped[i]
+            y = y_flipped
         seed = _child_seed(cfg.seed, "train", round_idx, i)
         updates[i] = _local_delta(state, X, y, cfg.local_epochs, seed)
 
@@ -365,8 +364,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     data = state.data
     return RoundRecord(
         round=round_idx,
-        accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data.class_count),
-        asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data.class_count),
+        accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data_mod.N_CLASSES),
+        asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data_mod.N_CLASSES),
         per_client_cosine=per_client_cosine,
         # a round whose rule fails accepts no row and leaves the model as it was
         threshold=None if failed else report.threshold,

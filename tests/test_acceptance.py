@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from fedpoison import cli, defense, grmp, model, sim
+from fedpoison import cli, data, defense, grmp, model, sim
 from test_grmp import vgae_loss
 from test_model import loss_and_grad
 
@@ -321,10 +321,10 @@ def test_criterion_7_norm_outlier_contained():
         state = sim._RunState(cfg)
         deltas = np.stack([
             model.local_train(
-                state.params, X, y, state.data.class_count, cfg.local_epochs,
+                state.params, X, y, data.N_CLASSES, cfg.local_epochs,
                 cfg.lr, cfg.batch_size, sim._child_seed(seed, "train", 1, i),
             )
-            for i, (X, y) in enumerate(state.data.client_data)
+            for i, (X, y, _) in enumerate(state.data.clients)
         ])
         attackers = list(state.attacker_ids)
         deltas[attackers] *= 100.0

@@ -206,6 +206,13 @@ def test_runtime_error_exit_code_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_empty_asr_subset_exit_code_2(tmp_path, capsys):
+    cfg_path = _write_tiny(tmp_path, "data.trigger_rate = 1e-9\ndata.test_per_class = 2\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: ASR subset empty: no test example of class 2 holds a trigger (stock, market, earnings, profit)" in err
+
+
 def test_unknown_scenario_exit_code_1(tmp_path, capsys):
     assert cli.main(["scenario", "nope", "--out", str(tmp_path / "o")]) == 1
     assert "unknown scenario" in capsys.readouterr().err

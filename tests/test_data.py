@@ -1,4 +1,5 @@
-"""Data module: tokenizer, synth corpus, FNV hashing, partition, flip/ASR subset."""
+"""Data module: tokenizer, synth corpus, FNV hashing, partition, the attack's
+target examples."""
 
 import hashlib
 
@@ -20,6 +21,11 @@ def fnv1a_oracle(token: str) -> int:
     for byte in token.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) % (1 << 64)
     return h
+
+
+def is_target_oracle(example, triggers, src):
+    """Brute force: a src-class example with some token equal to a trigger."""
+    return example.label == src and any(tok == t for tok in example.tokens for t in triggers)
 
 
 def asr_subset_oracle(corpus, triggers, src):
@@ -308,50 +314,48 @@ def test_partition_validates():
 
 
 # ---------------------------------------------------------------------------
-# flip / ASR subset
+# the attack's target examples: flipped in training, the ASR subset in test
 
 def _corpus():
     return data.synth_corpus(data.DataConfig(train_per_class=80, test_per_class=20,
                                               trigger_rate=0.5), seed=9)
 
 
+_examples = st.lists(st.builds(
+    data.Example,
+    tokens=st.lists(st.sampled_from(["stock", "gold", "market", "kw1", "noise2"]), max_size=5).map(tuple),
+    label=st.integers(0, data.N_CLASSES - 1),
+), max_size=12)
+
+
+@given(_examples, st.lists(st.sampled_from(["stock", "gold", "absent"]), min_size=1, max_size=3),
+       st.integers(0, data.N_CLASSES - 1))
+@settings(deadline=None)
+def test_target_mask_matches_bruteforce(examples, triggers, src):
+    got = data.target_mask(examples, triggers, src)
+    assert got.dtype == bool and got.shape == (len(examples),)
+    assert got.tolist() == [is_target_oracle(e, triggers, src) for e in examples]
+
+
 def test_flip_labels_targets_only_triggered_src():
     c = _corpus()
-    flipped = data.flip_labels(c.train, data.DEFAULT_TRIGGERS, 2, 1)
+    y = np.array([e.label for e in c.train])
+    flipped = np.where(data.target_mask(c.train, data.DEFAULT_TRIGGERS, 2), 1, y)
     trig = set(data.DEFAULT_TRIGGERS)
-    for before, after in zip(c.train, flipped):
-        assert before.tokens == after.tokens
-        if before.label == 2 and set(before.tokens) & trig:
-            assert after.label == 1
+    for e, after in zip(c.train, flipped):
+        if e.label == 2 and set(e.tokens) & trig:
+            assert after == 1
         else:
-            assert after.label == before.label
-    assert any(b.label != a.label for b, a in zip(c.train, flipped))
-
-
-def test_flip_labels_idempotent():
-    c = _corpus()
-    once = data.flip_labels(c.train, data.DEFAULT_TRIGGERS, 2, 1)
-    twice = data.flip_labels(once, data.DEFAULT_TRIGGERS, 2, 1)
-    assert once == twice
-
-
-def test_flip_labels_same_class_error():
-    with pytest.raises(ValueError):
-        data.flip_labels([], data.DEFAULT_TRIGGERS, 1, 1)
+            assert after == e.label
+    assert (flipped != y).any()
 
 
 def test_asr_subset_matches_bruteforce():
     c = _corpus()
-    subset = data.asr_eval_subset(c, data.DEFAULT_TRIGGERS, 2)
+    mask = data.target_mask(c.test, data.DEFAULT_TRIGGERS, 2)
+    subset = [e for e, t in zip(c.test, mask) if t]
     assert subset == asr_subset_oracle(c, data.DEFAULT_TRIGGERS, 2)
-    assert all(e.label == 2 for e in subset)
-
-
-def test_asr_subset_empty_error():
-    c = data.synth_corpus(data.DataConfig(train_per_class=5, test_per_class=5,
-                                           trigger_rate=0.0), seed=0)
-    with pytest.raises(ValueError, match="ASR subset empty"):
-        data.asr_eval_subset(c, data.DEFAULT_TRIGGERS, 2)
+    assert subset and all(e.label == 2 for e in subset)
 
 
 # ---------------------------------------------------------------------------

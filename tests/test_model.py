@@ -160,7 +160,8 @@ def test_class_major_softmax_equals_the_row_softmax(P):
     assert model._softmax(P.copy(), -2, red).tobytes() == want.tobytes()
 
 
-def test_empty_batch_error():
+def test_loss_and_grad_oracle_rejects_an_empty_batch():
+    # local_train's own empty-dataset check is test_local_train_validates
     with pytest.raises(ValueError):
         loss_and_grad(np.zeros(8), np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
 
@@ -190,21 +191,6 @@ def test_sparse_rows_round_trip(X):
     # of a scatter's writes cannot matter
     assert np.array_equal(S.vals, X[np.arange(len(X))[:, None], S.cols])
     assert _dense(S).tobytes() == X.tobytes()
-
-
-@st.composite
-def _feature_parts(draw):
-    shape = st.tuples(st.integers(0, 6), st.just(draw(st.integers(1, 8))))
-    return draw(st.lists(hnp.arrays(np.float64, shape, elements=_entries), min_size=1, max_size=4))
-
-
-@given(_feature_parts())
-@settings(deadline=None)
-def test_sparse_rows_concat_equals_from_dense_of_the_stacked_rows(parts):
-    got = model.SparseRows.concat([_sparse(p) for p in parts])
-    want = _sparse(np.concatenate(parts))
-    assert got.dim == want.dim
-    assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 8)), elements=_entries))

@@ -2,6 +2,7 @@
 round-tripping, run-directory artifacts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -349,11 +350,11 @@ def test_round_one_fedavg_matches_manual_reconstruction():
         state = sim._RunState(cfg)
         deltas = np.stack([
             model.local_train(
-                np.zeros_like(state.params), X, y, state.data.class_count,
+                np.zeros_like(state.params), X, y, data_mod.N_CLASSES,
                 cfg.local_epochs, cfg.lr, cfg.batch_size,
                 sim._child_seed(cfg.seed, "train", 1, i), weight_decay,
             )
-            for i, (X, y) in enumerate(state.data.client_data)
+            for i, (X, y, _) in enumerate(state.data.clients)
         ])
         expect = defense.fedavg(deltas, state.data.sizes)
         assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
@@ -429,8 +430,8 @@ def test_runs_sharing_the_data_config_build_it_once(builds, other):
     cfg = tiny_cfg(attack="naive_flip")
     sim.run_experiment(cfg)
     sim.run_experiment(tiny_cfg(**{"attack": "naive_flip", **other}))
-    # one featurize_all per client, one for the test set and one for the ASR subset
-    assert builds == {"synth_corpus": 1, "featurize_all": cfg.n_clients + 2, "load_agnews_csv": 0}
+    # one featurize_all per split
+    assert builds == {"synth_corpus": 1, "featurize_all": 2, "load_agnews_csv": 0}
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -481,8 +482,8 @@ def test_cached_arrays_are_read_only(builds):
     # grmp, the one attack that pools its clients' data
     state = sim._RunState(tiny_cfg(attack="grmp"))
     d = state.data
-    arrays = [d.sizes, d.X_test, d.y_test, d.X_asr, *d.client_y_flipped]
-    arrays += [a for X, y in d.client_data for a in (X.cols, X.vals, y)]
+    arrays = [d.sizes, d.X_test, d.y_test, d.X_asr]
+    arrays += [a for X, y, y_flipped in d.clients for a in (X.cols, X.vals, y, y_flipped)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
@@ -510,6 +511,87 @@ def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
     _write_agnews_csv(train, per_class=16, seed=0)
     assert sim._RunState(cfg).data.sizes.sum() == 4 * 16
     assert builds["load_agnews_csv"] == 2
+
+
+def flip_labels_oracle(examples, triggers, src_class, dst_class):
+    """The Example-level flip: src_class examples holding a trigger, relabelled."""
+    trig = set(triggers)
+    return [
+        data_mod.Example(e.tokens, dst_class) if e.label == src_class and set(e.tokens) & trig else e
+        for e in examples
+    ]
+
+
+def per_client_oracle(cfg):
+    """Each client's dense features, labels and flipped labels, and the ASR
+    subset's dense features, each featurized on its own."""
+    dc = cfg.data
+    if dc.source == "agnews":
+        corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
+    else:
+        corpus = data_mod.synth_corpus(dc, sim._child_seed(cfg.seed, "corpus"))
+    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, sim._child_seed(cfg.seed, "partition"))
+    fseed = sim._child_seed(cfg.seed, "hash")
+    clients = []
+    for idx in parts:
+        part = [corpus.train[i] for i in idx]
+        X, y = data_mod.featurize_all(part, dc.hash_dim, fseed)
+        flipped = flip_labels_oracle(part, dc.triggers, dc.src_class, dc.dst_class)
+        clients.append((X.dense(), y, np.array([e.label for e in flipped], dtype=np.int64)))
+    trig = set(dc.triggers)
+    subset = [e for e in corpus.test if e.label == dc.src_class and set(e.tokens) & trig]
+    X_asr, _ = data_mod.featurize_all(subset, dc.hash_dim, fseed)
+    return clients, X_asr.dense()
+
+
+def _assert_rows(S, want):
+    """S densifies to `want` bit for bit, and every pair, padding included,
+    holds its column's value, so a batch's scatter gives the same bits."""
+    dense = S.dense()
+    assert dense.tobytes() == want.tobytes()
+    assert np.array_equal(S.vals, dense[np.arange(len(S))[:, None], S.cols])
+
+
+def _assert_labels(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["n6", "n60", "agnews"])
+def test_run_data_equals_the_per_client_path(tmp_path, case):
+    cfg = tiny_cfg(attack="grmp")
+    if case == "n60":
+        cfg = tiny_cfg(attack="grmp", n_clients=60, n_attackers=5, data=sim.DataConfig(hash_dim=256))
+    elif case == "agnews":
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_agnews_csv(train, per_class=15, seed=0)
+        _write_agnews_csv(test, per_class=4, seed=1)
+        cfg.data.source = "agnews"
+        cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
+    clients, X_asr = per_client_oracle(cfg)
+    state = sim._RunState(cfg)
+    d = state.data
+    assert len(d.clients) == cfg.n_clients
+    width = {X.cols.shape[1] for X, _, _ in d.clients}
+    assert len(width) == 1  # the train split's
+    for (X, y, y_flipped), (want_X, want_y, want_flipped) in zip(d.clients, clients):
+        _assert_rows(X, want_X)
+        _assert_labels(y, want_y)
+        _assert_labels(y_flipped, want_flipped)
+    assert d.X_asr.tobytes() == X_asr.tobytes()
+    # the grmp pool: the attackers' rows and labels in client order
+    pool = [clients[i] for i in state.attacker_ids]
+    _assert_rows(state.X_att, np.concatenate([X for X, _, _ in pool]))
+    _assert_labels(state.y_att, np.concatenate([y for _, y, _ in pool]))
+    _assert_labels(state.y_att_flip, np.concatenate([y for _, _, y in pool]))
+    assert (state.y_att != state.y_att_flip).any()
+
+
+def test_asr_subset_empty_error():
+    cfg = tiny_cfg()
+    cfg.data.trigger_rate, cfg.data.test_per_class = 1e-9, 2
+    want = "ASR subset empty: no test example of class 2 holds a trigger (stock, market, earnings, profit)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        sim.run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +771,7 @@ def test_switch_after_the_last_round_branches_to_no_further_rounds(monkeypatch, 
 def test_attacker_ids_hold_most_flippable_data():
     cfg = tiny_cfg()
     state = sim._RunState(cfg)
-    flippable = [
-        int(np.sum(state.data.client_data[i][1] != state.data.client_y_flipped[i]))
-        for i in range(cfg.n_clients)
-    ]
+    flippable = [int(np.sum(y != y_flipped)) for _, y, y_flipped in state.data.clients]
     others = [flippable[i] for i in range(cfg.n_clients) if i not in state.attacker_ids]
     assert min(flippable[i] for i in state.attacker_ids) >= max(others)
     assert len(state.attacker_ids) == cfg.n_attackers
