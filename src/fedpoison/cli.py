@@ -56,6 +56,8 @@ def _read_flat_file(path: str) -> dict[str, object]:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
 
     # a key given twice is an error, not the last value silently winning
     def unique(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -99,7 +101,7 @@ def parse_config(path: str | None, overrides: dict[str, object] | None = None) -
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def run_to_dir(cfg: sim.ExperimentConfig, out_dir: str) -> sim.ExperimentResult:
+def run_to_dir(cfg: sim.ExperimentConfig, out_dir: str) -> None:
     result = sim.run_experiment(cfg)
     sim.write_run_dir(result, out_dir)
     final = result.records[-1]
@@ -107,7 +109,6 @@ def run_to_dir(cfg: sim.ExperimentConfig, out_dir: str) -> sim.ExperimentResult:
         f"{out_dir}: rounds={cfg.rounds} defense={cfg.defense} attack={cfg.attack} "
         f"final_accuracy={final.accuracy:.4f} final_asr={final.asr:.4f}"
     )
-    return result
 
 
 def run_scenario(name: str, out_dir: str) -> None:

@@ -18,11 +18,9 @@ class DefenseError(Exception):
 
 @dataclass
 class AggregationReport:
-    aggregate: np.ndarray
+    aggregate: Optional[np.ndarray]  # None when the rule could not aggregate
     accepted: np.ndarray  # bool mask per submitted update
-    scores: np.ndarray  # distance score or cosine similarity per update
-    threshold: Optional[float] = None
-    converged: bool = True
+    threshold: Optional[float] = None  # set by the cosine filter only
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -62,17 +60,17 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     return np.add.reduce(off[:, : n - f - 2], axis=1)
 
 
-def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The m updates with the lowest krum scores (ties to the lowest index),
-    their mean, and every update's score. Krum is multi-krum with m = 1
-    (Blanchard et al. 2017). A NaN score sorts last."""
+def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray]:
+    """The m updates with the lowest krum scores (ties to the lowest index)
+    and their mean. Krum is multi-krum with m = 1 (Blanchard et al. 2017).
+    A NaN score sorts last."""
     updates = np.asarray(updates, dtype=float)
     scores = krum_scores(updates, f)
     n = len(updates)
     if not 1 <= m <= n - f - 2:
         raise DefenseError(f"multi-krum needs 1 <= m <= n-f-2 (got m={m}, n={n}, f={f})")
     selected = sorted(np.argsort(scores, kind="stable")[:m].tolist())
-    return selected, updates[selected].mean(axis=0), scores
+    return selected, updates[selected].mean(axis=0)
 
 
 def trimmed_mean(updates: np.ndarray, beta: int) -> np.ndarray:
@@ -94,11 +92,12 @@ def coord_median(updates: np.ndarray) -> np.ndarray:
 
 def geometric_median(
     updates: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-) -> tuple[np.ndarray, bool]:
-    """Weiszfeld iteration from the coordinate mean.
+) -> np.ndarray:
+    """Weiszfeld iteration from the coordinate mean, until a step is shorter
+    than tol or after max_iter steps (Pillutla et al., RFA).
 
     Points coinciding with the current iterate get their distance clamped at
-    1e-12. Returns (point, converged); hitting max_iter is a valid return.
+    1e-12.
     """
     updates = np.asarray(updates, dtype=float)
     if len(updates) < 1:
@@ -113,8 +112,8 @@ def geometric_median(
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step < tol:
-            return x, True
-    return x, False
+            break
+    return x
 
 
 def cosine_threshold(cosines: np.ndarray, lam: float) -> float:
@@ -136,17 +135,12 @@ def cosine_threshold_filter(
     updates = np.asarray(updates, dtype=float)
     if len(updates) < 2:
         raise DefenseError("cosine filter needs n >= 2")
-    scores = np.asarray(cosines, dtype=float)
-    tau = cosine_threshold(scores, lam)
-    accepted = scores >= tau
+    cosines = np.asarray(cosines, dtype=float)
+    tau = cosine_threshold(cosines, lam)
+    accepted = cosines >= tau
     if not accepted.any():
         raise DefenseError("no updates survive filter")
-    return AggregationReport(
-        aggregate=updates[accepted].mean(axis=0),
-        accepted=accepted,
-        scores=scores,
-        threshold=tau,
-    )
+    return AggregationReport(updates[accepted].mean(axis=0), accepted, tau)
 
 
 DEFENSES = (
@@ -177,30 +171,29 @@ def apply_defense(
     cosines: np.ndarray,
     params: DefenseParams,
 ) -> AggregationReport:
-    """Dispatch to a rule and normalize its output into an AggregationReport.
+    """Dispatch to a rule and normalize its output into an AggregationReport:
+    the aggregate, the accept mask (every row, except under krum, multi_krum
+    and the cosine filter) and the cosine filter's threshold.
 
-    `cosines` holds each update's cosine to the server's reference direction.
-    Except under krum and multi_krum, whose scores are their own distance
-    sums, the report's scores are these cosines, so every run logs comparable
-    similarity traces.
+    `cosines` holds each update's cosine to the server's reference direction;
+    only the cosine filter reads them.
     """
     updates = np.asarray(updates, dtype=float)
     n = len(updates)
-    scores = np.asarray(cosines, dtype=float)
     if name == "cosine_filter":
-        return cosine_threshold_filter(updates, scores, params.lambda_)
-    accepted, converged = np.ones(n, bool), True
+        return cosine_threshold_filter(updates, cosines, params.lambda_)
+    accepted = np.ones(n, bool)
     if name == "fedavg":
         agg = fedavg(updates, weights)
     elif name in ("krum", "multi_krum"):
-        selected, agg, scores = multi_krum(updates, params.f, 1 if name == "krum" else params.m)
+        selected, agg = multi_krum(updates, params.f, 1 if name == "krum" else params.m)
         accepted = np.isin(np.arange(n), selected)
     elif name == "trimmed_mean":
         agg = trimmed_mean(updates, params.beta)
     elif name == "coord_median":
         agg = coord_median(updates)
     elif name == "geometric_median":
-        agg, converged = geometric_median(updates, params.gm_tol, params.gm_max_iter)
+        agg = geometric_median(updates, params.gm_tol, params.gm_max_iter)
     else:
         raise DefenseError(f"unknown defense {name!r}")
-    return AggregationReport(agg, accepted, scores, converged=converged)
+    return AggregationReport(agg, accepted)

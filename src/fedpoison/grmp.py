@@ -274,11 +274,12 @@ def lagrange_dual_search(
     Z, so the pull-back toward the benign latent serves as the constraint
     subgradient.
 
-    Returns (lambda_dual, A_adv, X_syn, recon, recon_initial): the final
+    Returns (lambda_dual, A_adv, syn_mean, recon, recon_initial): the final
     multiplier; for the best iterate that kept the cosine within 0.05 of the
     floor (falling back to the last iterate if none did), its binarized
-    adjacency, the benign rows synthesized in that adjacency's Laplacian basis
-    and its reconstruction BCE; and the BCE of step 0 (the encoder mean).
+    adjacency, the mean of the benign rows synthesized in that adjacency's
+    Laplacian basis and its reconstruction BCE; and the BCE of step 0 (the
+    encoder mean).
     """
     if not -1.0 <= stealth_floor <= 1.0:
         raise ValueError("stealth_floor must lie in [-1, 1]")
@@ -288,7 +289,7 @@ def lagrange_dual_search(
     S_hat = gsp_decompose(g)
     w = _recon_weight(g.A)
     # the search visits few distinct adjacencies, so each one's synthesized
-    # rows and their mean's cosine to the reference are computed once
+    # mean and its cosine to the reference are computed once
     synthesized: dict[bytes, tuple[np.ndarray, float]] = {}
 
     def evaluate(Z: np.ndarray) -> tuple:
@@ -296,8 +297,8 @@ def lagrange_dual_search(
         A_adv = threshold_adjacency(A_hat)
         key = A_adv.tobytes()
         if key not in synthesized:
-            X_syn = gsp_synthesize(S_hat, A_adv)
-            synthesized[key] = X_syn, cosine(X_syn.mean(axis=0), reference)
+            syn_mean = gsp_synthesize(S_hat, A_adv).mean(axis=0)
+            synthesized[key] = syn_mean, cosine(syn_mean, reference)
         return A_hat, A_adv, *synthesized[key], recon_bce(A_hat, g.A)
 
     Z, lam, best = mu0, 0.0, None
@@ -320,8 +321,8 @@ def lagrange_dual_search(
         Z = Z + step_size * grad
         lam = max(0.0, lam + step_size * (stealth_floor - c))
 
-    _, A_adv, X_syn, _, recon = best if best is not None else evaluate(Z)
-    return lam, A_adv, X_syn, recon, recon_initial
+    _, A_adv, syn_mean, _, recon = best if best is not None else evaluate(Z)
+    return lam, A_adv, syn_mean, recon, recon_initial
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +407,10 @@ def craft_with_trace(
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")
     g = build_update_graph(benign_updates, cfg.tau_edge)
-    lambda_dual, A_adv, X_syn, recon_final, recon_initial = lagrange_dual_search(
+    lambda_dual, A_adv, syn_mean, recon_final, recon_initial = lagrange_dual_search(
         params, g, reference, stealth_floor, cfg.dual_steps, cfg.dual_step_size
     )
-    candidate = X_syn.mean(axis=0) + cfg.gamma_blend * raw_poison
+    candidate = syn_mean + cfg.gamma_blend * raw_poison
     norm_cap = float(np.max(np.linalg.norm(benign_updates, axis=1)))
     final = project_stealth(candidate, reference, stealth_floor, norm_cap)
     trace = {

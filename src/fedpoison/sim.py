@@ -347,14 +347,15 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         state.attack_trace.append({"round": round_idx, **trace})
 
     reference, per_client_cosine = _score(state, updates)
-    report = None
+    # a round whose rule fails accepts no row and leaves the model as it was
+    report = defense_mod.AggregationReport(None, np.zeros(cfg.n_clients, bool))
     # a zero reference gives the cosine filter no direction to filter by
     if cfg.defense != "cosine_filter" or np.linalg.norm(reference) != 0.0:
         with contextlib.suppress(DefenseError):
             report = defense_mod.apply_defense(
                 cfg.defense, updates, state.data.sizes, per_client_cosine, cfg.defense_params
             )
-    failed = report is None
+    failed = report.aggregate is None
     if not failed:
         state.params = state.params + report.aggregate
         if not np.all(np.isfinite(state.params)):
@@ -367,9 +368,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data_mod.N_CLASSES),
         asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data_mod.N_CLASSES),
         per_client_cosine=per_client_cosine,
-        # a round whose rule fails accepts no row and leaves the model as it was
-        threshold=None if failed else report.threshold,
-        accepted=[False] * cfg.n_clients if failed else list(map(bool, report.accepted)),
+        threshold=report.threshold,
+        accepted=list(map(bool, report.accepted)),
         aggregate_norm=0.0 if failed else float(np.linalg.norm(report.aggregate)),
         defense_error=failed,
     )

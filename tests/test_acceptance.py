@@ -120,14 +120,15 @@ def test_criterion_1_aggregation_oracles():
         d = int(rng.integers(1, 7))
         f = int(rng.integers(1, n - 2))
         u = rng.standard_normal((n, d))
-        (idx,), _, scores = defense.multi_krum(u, f, 1)
+        (idx,), _ = defense.multi_krum(u, f, 1)
+        scores = defense.krum_scores(u, f)
         oracle = _krum_oracle(u, f)
         ok_krum = idx == int(np.argmin(oracle)) and np.allclose(scores, oracle, atol=1e-9)
         beta = int(rng.integers(0, (n - 1) // 2 + 1))
         err_tm = np.abs(defense.trimmed_mean(u, beta) - _trimmed_oracle(u, beta)).max()
         err_md = np.abs(defense.coord_median(u) - _median_oracle(u)).max()
         pts = rng.standard_normal((5, 3))
-        x, _ = defense.geometric_median(pts)
+        x = defense.geometric_median(pts)
         obj = sum(np.linalg.norm(row - x) for row in pts)
         err_gm = obj - _geomedian_grid(pts)
         worst = max(worst, err_tm, err_md, err_gm)
@@ -329,7 +330,7 @@ def test_criterion_7_norm_outlier_contained():
         attackers = list(state.attacker_ids)
         deltas[attackers] *= 100.0
         benign = np.delete(deltas, attackers, axis=0)
-        (idx,), _, _ = defense.multi_krum(deltas, f=2, m=1)
+        (idx,), _ = defense.multi_krum(deltas, f=2, m=1)
         agg = defense.trimmed_mean(deltas, beta=2)
         lo, hi = benign.min(axis=0), benign.max(axis=0)
         inside = ((agg >= lo - 1e-12) & (agg <= hi + 1e-12)).all()

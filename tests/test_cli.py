@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -47,6 +48,9 @@ def test_read_flat_file_json(tmp_path):
 def test_read_flat_file_errors(tmp_path):
     with pytest.raises(cli.ConfigError, match="not found"):
         cli._read_flat_file(str(tmp_path / "nope.cfg"))
+    # a path that exists but cannot be read as a file names itself
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(tmp_path))}: cannot read: Is a directory$"):
+        cli._read_flat_file(str(tmp_path))
     p = tmp_path / "bad.cfg"
     p.write_text("rounds 5\n")
     with pytest.raises(cli.ConfigError, match="expected key=value"):
@@ -126,6 +130,10 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and str(p) in err and message in err
+    # so does a directory given as the config
+    assert cli.main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err and "Is a directory" in err
     # defense parameters with which no round can run fail before round one
     cfg_path = _write_tiny(tmp_path, "defense = krum\ndefense.f = 5\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1

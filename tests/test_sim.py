@@ -793,10 +793,7 @@ def test_round_failure_is_wrapped_with_round_number(monkeypatch):
 def test_non_finite_aggregate_fails_the_round(monkeypatch):
     def nan_defense(name, updates, weights, cosines, params):
         aggregate = np.full(updates.shape[1], np.nan)
-        return defense.AggregationReport(
-            aggregate=aggregate, accepted=np.ones(len(updates), dtype=bool),
-            scores=np.array(cosines), threshold=None,
-        )
+        return defense.AggregationReport(aggregate=aggregate, accepted=np.ones(len(updates), dtype=bool))
 
     monkeypatch.setattr(defense, "apply_defense", nan_defense)
     with pytest.raises(RuntimeError, match="^round 1 failed: fedavg aggregate is not finite$"):
