@@ -1,7 +1,7 @@
 """Robust aggregation rules and the dynamic cosine-similarity filter.
 
 Every rule is a pure function of the stacked update matrix (rows = clients).
-`apply_defense` wraps them in a uniform AggregationReport for the simulator.
+`apply_defense` checks a rule's `min_rows`, then wraps it in a uniform AggregationReport.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def fedavg(updates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if len(updates) < 1:
-        raise DefenseError("no updates")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise DefenseError("weights must be nonnegative with positive sum")
     return weights @ updates / weights.sum()
@@ -47,9 +44,8 @@ def _sq_dists(rows: np.ndarray, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
+    """Each row's krum score; the caller checks n >= f + 3, as apply_defense does."""
     n = len(updates)
-    if n < f + 3:
-        raise DefenseError(f"krum needs n >= f+3 (got n={n}, f={f})")
     # each pair's squared distance once: row i against the rows after it,
     # mirrored below the diagonal, in one reused buffer; O(n*d + n*n) memory
     d2, buf = np.zeros((n, n)), np.empty_like(updates[1:])
@@ -63,31 +59,17 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
 def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray]:
     """The m updates with the lowest krum scores (ties to the lowest index)
     and their mean. Krum is multi-krum with m = 1 (Blanchard et al. 2017).
-    A NaN score sorts last."""
-    updates = np.asarray(updates, dtype=float)
+    A NaN score sorts last. The caller checks 1 <= m <= n - f - 2."""
     scores = krum_scores(updates, f)
-    n = len(updates)
-    if not 1 <= m <= n - f - 2:
-        raise DefenseError(f"multi-krum needs 1 <= m <= n-f-2 (got m={m}, n={n}, f={f})")
     selected = sorted(np.argsort(scores, kind="stable")[:m].tolist())
     return selected, updates[selected].mean(axis=0)
 
 
 def trimmed_mean(updates: np.ndarray, beta: int) -> np.ndarray:
-    """Per coordinate, drop the beta smallest and beta largest, average the rest."""
-    updates = np.asarray(updates, dtype=float)
+    """The per-coordinate mean of the middle n - 2 * beta values; the caller checks n > 2 * beta."""
     n = len(updates)
-    if n <= 2 * beta:
-        raise DefenseError(f"trimmed mean needs n > 2*beta (got n={n}, beta={beta})")
     s = np.sort(updates, axis=0)
     return s[beta : n - beta].mean(axis=0)
-
-
-def coord_median(updates: np.ndarray) -> np.ndarray:
-    updates = np.asarray(updates, dtype=float)
-    if len(updates) < 1:
-        raise DefenseError("no updates")
-    return np.median(updates, axis=0)
 
 
 def geometric_median(
@@ -97,13 +79,8 @@ def geometric_median(
     than tol or after max_iter steps (Pillutla et al., RFA).
 
     Points coinciding with the current iterate get their distance clamped at
-    1e-12.
+    1e-12. The caller checks the cohort, as apply_defense does.
     """
-    updates = np.asarray(updates, dtype=float)
-    if len(updates) < 1:
-        raise DefenseError("no updates")
-    if tol <= 0:
-        raise DefenseError("tol must be > 0")
     x, buf = updates.mean(axis=0), np.empty_like(updates)
     for _ in range(max_iter):
         # np.linalg.norm(updates - x, axis=1), in one reused buffer
@@ -117,9 +94,10 @@ def geometric_median(
 
 
 def cosine_threshold(cosines: np.ndarray, lam: float) -> float:
-    """The cosine filter's adaptive threshold: mean - lam * population std."""
+    """The cosine filter's adaptive threshold: mean - lam * population std,
+    clamped to the largest cosine, which np.mean of equal cosines can round above."""
     s = np.asarray(cosines, dtype=float)
-    return float(s.mean() - lam * s.std())
+    return float(np.minimum(s.mean() - lam * s.std(), s.max()))
 
 
 def cosine_threshold_filter(
@@ -130,11 +108,8 @@ def cosine_threshold_filter(
     `cosines` holds each update's cosine to the server's reference direction;
     the caller rejects a zero-norm reference, under which every cosine is -1.
     Std is the population standard deviation. Accepted updates are averaged
-    with equal weights.
+    with equal weights. The caller checks n >= 2, as apply_defense does.
     """
-    updates = np.asarray(updates, dtype=float)
-    if len(updates) < 2:
-        raise DefenseError("cosine filter needs n >= 2")
     cosines = np.asarray(cosines, dtype=float)
     tau = cosine_threshold(cosines, lam)
     accepted = cosines >= tau
@@ -164,6 +139,18 @@ class DefenseParams:
     gm_max_iter: int = 200
 
 
+def min_rows(name: str, params: DefenseParams) -> int:
+    """The fewest rows rule `name` aggregates under `params`: the cosine filter's
+    threshold needs two, krum scores a row by its n - f - 2 >= 1 nearest others,
+    multi-krum keeps m <= n - f - 2 rows, the trimmed mean n - 2 * beta >= 1."""
+    return {
+        "cosine_filter": 2,
+        "krum": params.f + 3,
+        "multi_krum": params.f + 2 + params.m,
+        "trimmed_mean": 2 * params.beta + 1,
+    }.get(name, 1)
+
+
 def apply_defense(
     name: str,
     updates: np.ndarray,
@@ -179,7 +166,9 @@ def apply_defense(
     only the cosine filter reads them.
     """
     updates = np.asarray(updates, dtype=float)
-    n = len(updates)
+    n, need = len(updates), min_rows(name, params)
+    if n < need:
+        raise DefenseError(f"{name} needs n >= {need} rows (got n={n})")
     if name == "cosine_filter":
         return cosine_threshold_filter(updates, cosines, params.lambda_)
     accepted = np.ones(n, bool)
@@ -191,7 +180,7 @@ def apply_defense(
     elif name == "trimmed_mean":
         agg = trimmed_mean(updates, params.beta)
     elif name == "coord_median":
-        agg = coord_median(updates)
+        agg = np.median(updates, axis=0)
     elif name == "geometric_median":
         agg = geometric_median(updates, params.gm_tol, params.gm_max_iter)
     else:

@@ -124,15 +124,11 @@ class ExperimentConfig:
                 f"grmp needs 1 <= grmp.latent <= grmp.hidden <= {data_mod.N_CLASSES} * data.hash_dim "
                 f"(got latent={g.latent}, hidden={g.hidden}, hash_dim={d.hash_dim})"
             )
-        # parameters with which the configured rule can aggregate no round
-        if self.defense == "cosine_filter" and n < 2:
-            raise ValueError(f"cosine_filter needs n_clients >= 2 (got {n})")
-        if self.defense in ("krum", "multi_krum") and n < p.f + 3:
-            raise ValueError(f"{self.defense} needs n_clients >= defense.f + 3 (got {n}, f={p.f})")
-        if self.defense == "multi_krum" and p.m > n - p.f - 2:
-            raise ValueError(f"multi_krum needs defense.m <= n_clients - defense.f - 2 (got m={p.m})")
-        if self.defense == "trimmed_mean" and n <= 2 * p.beta:
-            raise ValueError(f"trimmed_mean needs n_clients > 2 * defense.beta (got {n}, beta={p.beta})")
+        # a cohort with which the configured rule can aggregate no round
+        need = defense_mod.min_rows(self.defense, p)
+        if n < need:
+            cohort = f"defense.f={p.f}, defense.m={p.m}, defense.beta={p.beta}"
+            raise ValueError(f"{self.defense} needs n_clients >= {need} (got {n}; {cohort})")
 
 
 @dataclass

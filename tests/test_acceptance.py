@@ -126,7 +126,8 @@ def test_criterion_1_aggregation_oracles():
         ok_krum = idx == int(np.argmin(oracle)) and np.allclose(scores, oracle, atol=1e-9)
         beta = int(rng.integers(0, (n - 1) // 2 + 1))
         err_tm = np.abs(defense.trimmed_mean(u, beta) - _trimmed_oracle(u, beta)).max()
-        err_md = np.abs(defense.coord_median(u) - _median_oracle(u)).max()
+        median = defense.apply_defense("coord_median", u, np.ones(n), np.ones(n), defense.DefenseParams()).aggregate
+        err_md = np.abs(median - _median_oracle(u)).max()
         pts = rng.standard_normal((5, 3))
         x = defense.geometric_median(pts)
         obj = sum(np.linalg.norm(row - x) for row in pts)

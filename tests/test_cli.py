@@ -137,7 +137,7 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
     # defense parameters with which no round can run fail before round one
     cfg_path = _write_tiny(tmp_path, "defense = krum\ndefense.f = 5\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    assert "krum needs n_clients >= defense.f + 3" in capsys.readouterr().err
+    assert "krum needs n_clients >= 8 (got 6; defense.f=5," in capsys.readouterr().err
     # so do data parameters and triggers that no tokenizer produces
     for extra, message in [
         ("data.hash_dim = 100\n", "data.hash_dim must be a power of two"),
@@ -168,7 +168,7 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         # and a benign cohort too small for grmp's update graph
         ("attack = grmp\nn_clients = 3\nn_attackers = 2\n", "grmp needs n_clients - n_attackers >= 2 (got n_clients=3,"),
         # a cosine filter with no second row to set its threshold by
-        ("n_clients = 1\nn_attackers = 0\n", "cosine_filter needs n_clients >= 2 (got 1)"),
+        ("n_clients = 1\nn_attackers = 0\n", "cosine_filter needs n_clients >= 2 (got 1;"),
         # and AG News files that are not there
         ("data.source = agnews\n", "data.agnews_train must be an existing file on agnews data"),
         # a seed outside one 32-bit word, which would alias one inside it

@@ -6,14 +6,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedpoison import defense
+from fedpoison import defense, sim
 
 
 def _updates(seed, n=6, d=4):
     return np.random.default_rng(seed).standard_normal((n, d))
+
+
+def _apply(name, u, **params):
+    """apply_defense on u, with unit weights and cosines and the given params."""
+    n = len(u)
+    return defense.apply_defense(name, u, np.ones(n), np.ones(n), defense.DefenseParams(**params))
 
 
 def _cosines(updates, ref):
@@ -122,8 +128,8 @@ def test_krum_scores_bit_identical_to_row_at_a_time(seed):
 
 
 def test_krum_needs_enough_clients():
-    with pytest.raises(defense.DefenseError):
-        defense.multi_krum(_updates(0, n=3), f=1, m=1)
+    with pytest.raises(defense.DefenseError, match=r"krum needs n >= 4 rows \(got n=3\)"):
+        _apply("krum", _updates(0, n=3), f=1)
 
 
 def test_krum_scores_memory_linear_in_n():
@@ -150,8 +156,8 @@ def test_multi_krum_selects_m_best():
 
 
 def test_multi_krum_m_bounds():
-    with pytest.raises(defense.DefenseError):
-        defense.multi_krum(_updates(2, n=6), f=1, m=4)
+    with pytest.raises(defense.DefenseError, match=r"multi_krum needs n >= 7 rows \(got n=6\)"):
+        _apply("multi_krum", _updates(2, n=6), f=1, m=4)
 
 
 def test_krum_scale_invariant_argmin():
@@ -177,12 +183,12 @@ def test_trimmed_mean_matches_sort_oracle(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_coord_median_matches_sort_oracle(seed):
     u = _updates(200 + seed, n=int(np.random.default_rng(seed).integers(1, 9)))
-    assert np.allclose(defense.coord_median(u), median_oracle(u), atol=1e-12)
+    assert np.allclose(_apply("coord_median", u).aggregate, median_oracle(u), atol=1e-12)
 
 
 def test_trimmed_mean_needs_enough_rows():
-    with pytest.raises(defense.DefenseError):
-        defense.trimmed_mean(_updates(0, n=4), beta=2)
+    with pytest.raises(defense.DefenseError, match=r"trimmed_mean needs n >= 5 rows \(got n=4\)"):
+        _apply("trimmed_mean", _updates(0, n=4), beta=2)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -190,7 +196,7 @@ def test_trimmed_mean_needs_enough_rows():
 def test_trim_and_median_bounded_by_inputs(seed):
     u = _updates(seed, n=6, d=5)
     lo, hi = u.min(axis=0), u.max(axis=0)
-    for out in (defense.trimmed_mean(u, 1), defense.coord_median(u)):
+    for out in (defense.trimmed_mean(u, 1), _apply("coord_median", u).aggregate):
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
 
@@ -260,11 +266,65 @@ def test_cosine_filter_scale_invariant_scores():
 
 
 def test_cosine_filter_errors():
-    with pytest.raises(defense.DefenseError):
-        defense.cosine_threshold_filter(_updates(9, n=1), np.ones(1), 1.5)
+    with pytest.raises(defense.DefenseError, match=r"cosine_filter needs n >= 2 rows \(got n=1\)"):
+        _apply("cosine_filter", _updates(9, n=1))
     with pytest.raises(defense.DefenseError, match="no updates survive"):
-        # a negative lambda puts the threshold above every score
-        defense.cosine_threshold_filter(_updates(9, n=3), np.array([0.1, 0.5, 0.9]), -10.0)
+        # a NaN cosine makes the threshold NaN, which no cosine clears
+        defense.cosine_threshold_filter(_updates(9, n=3), np.array([0.1, np.nan, 0.9]), 1.5)
+
+
+def test_cosine_filter_accepts_equal_cosines_at_lambda_zero():
+    # np.mean of three 0.1s rounds above 0.1; the threshold is clamped to it
+    cos = np.full(3, 0.1)
+    assert cos.mean() > 0.1
+    rep = defense.cosine_threshold_filter(_updates(11, n=3), cos, 0.0)
+    assert rep.threshold == 0.1 and rep.accepted.all()
+
+
+@given(
+    cos=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+    lam=st.floats(0.0, 3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_cosine_threshold_clamp_changes_no_cleared_threshold(cos, lam):
+    s = np.array(cos)
+    unclamped = float(s.mean() - lam * s.std())
+    got = defense.cosine_threshold(s, lam)
+    assert got <= s.max()
+    if (s >= unclamped).any():
+        assert got == unclamped
+
+
+@given(
+    n=st.integers(2, 12),
+    data=st.data(),
+    a=st.floats(-0.99, 0.99),
+    lam=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_cosine_threshold_twin_bound(n, data, a, lam, seed):
+    # k equal cosines among n clear mean - lam * std whenever (n - k)/k < lam^2:
+    # the std is at least sqrt(k (n - k)) / n * |mean of the others - a|, and
+    # the mean sits (n - k)/n of that gap away from a. The others lie at least
+    # 1e-6 from a, and lam^2 exceeds (n - k)/k by a relative 1e-6, so the
+    # margin dwarfs the rounding of the mean and the std
+    k = data.draw(st.integers(1, n))
+    assume((n - k) / k < lam**2 * (1 - 1e-6))
+    rng = np.random.default_rng(seed)
+    others = rng.uniform(-1.0, 1.0, n - k)
+    others = np.where(np.abs(others - a) < 1e-6, a + np.copysign(1e-6, others - a), others)
+    cos = rng.permutation(np.concatenate([np.full(k, a), others]))
+    assert defense.cosine_threshold(cos, lam) <= a
+
+
+def test_cosine_threshold_twin_bound_witness():
+    # k = 2 zeros among n = 6: (n - k)/k = 2 lies between 1.4^2 and 1.5^2
+    cos = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    rejected = defense.cosine_threshold_filter(np.eye(6), cos, 1.4)
+    accepted = defense.cosine_threshold_filter(np.eye(6), cos, 1.5)
+    assert not rejected.accepted[:2].any() and rejected.accepted[2:].all()
+    assert accepted.accepted.all()
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +352,68 @@ def test_apply_defense_permutation_equivariant(name):
     d=st.integers(1, 6),
     f=st.integers(0, 3),
     beta=st.integers(0, 3),
-    m_pick=st.integers(0, 100),
+    m=st.integers(1, 4),
     lam=st.floats(0.0, 3.0),
+    tie=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_apply_defense_report_contract_on_hostile_rows(name, extra, d, f, beta, m_pick, lam, seed):
-    # n from the rule's minimum up; every instance holds a zero row and a
-    # duplicated row, and the rows' scales span 1e-3 to 1e3
-    minimum = {"cosine_filter": 2, "krum": f + 3, "multi_krum": f + 3, "trimmed_mean": 2 * beta + 1}
-    n = minimum.get(name, 1) + extra
-    m = 1 + m_pick % (n - f - 2) if name == "multi_krum" else 1
+def test_apply_defense_report_contract_on_hostile_rows(name, extra, d, f, beta, m, lam, tie, seed):
+    # n from the rule's minimum up; every instance holds a duplicated row and
+    # either a zero row or cosines that are all equal, and the rows' scales
+    # span 1e-3 to 1e3
+    params = defense.DefenseParams(f=f, m=m, beta=beta, lambda_=lam)
+    n = defense.min_rows(name, params) + extra
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    zero = 0
     if n >= 2:
         zero, dup = rng.choice(n, 2, replace=False)
-        u[zero] = 0.0
         u[dup] = u[rng.choice(np.delete(np.arange(n), dup))]
-    else:
-        u[0] = 0.0
-    cos = _cosines(u, u.mean(axis=0))
+    if not tie:
+        u[zero] = 0.0
+    cos = np.full(n, rng.uniform(-0.99, 0.99)) if tie else _cosines(u, u.mean(axis=0))
     w = rng.integers(1, 100, n).astype(float)
-    params = defense.DefenseParams(f=f, m=m, beta=beta, lambda_=lam)
     rep = defense.apply_defense(name, u, w, cos, params)
     assert rep.accepted.dtype == bool and rep.accepted.shape == (n,)
     assert (rep.threshold is not None) == (name == "cosine_filter")
     if name in ("krum", "multi_krum"):
-        assert rep.accepted.sum() == m
+        assert rep.accepted.sum() == (m if name == "multi_krum" else 1)
     assert np.isfinite(rep.aggregate).all()
     tol = 1e-9 * np.abs(u).max()
     assert (rep.aggregate >= u.min(axis=0) - tol).all() and (rep.aggregate <= u.max(axis=0) + tol).all()
+
+
+@pytest.mark.parametrize("name", defense.DEFENSES)
+@given(
+    f=st.integers(0, 5),
+    m=st.integers(1, 5),
+    beta=st.integers(0, 5),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_min_rows_is_where_apply_defense_and_validate_start(name, f, m, beta, d, seed):
+    params = defense.DefenseParams(f=f, m=m, beta=beta)
+    need = defense.min_rows(name, params)
+    rng = np.random.default_rng(seed)
+
+    def run(n):
+        u = rng.standard_normal((n, d))
+        return defense.apply_defense(name, u, np.ones(n), _cosines(u, u.mean(axis=0)), params)
+
+    def validate(n):
+        sim.ExperimentConfig(
+            n_clients=n, n_attackers=0, attack="none", defense=name, defense_params=params
+        ).validate()
+
+    if need > 1:
+        with pytest.raises(defense.DefenseError, match=rf"^{name} needs n >= {need} rows \(got n={need - 1}\)$"):
+            run(need - 1)
+        with pytest.raises(ValueError, match=rf"^{name} needs n_clients >= {need} \(got {need - 1};"):
+            validate(need - 1)
+    assert run(need).accepted.shape == (need,)
+    validate(need)
 
 
 def _krum_instance(rng):

@@ -160,10 +160,10 @@ def test_config_validate_errors(tmp_path):
         ("fedavg", {"gm_tol": 0.0}, "defense.gm_tol must be > 0"),
         ("fedavg", {"gm_tol": float("inf")}, "defense.gm_tol must be > 0 and finite"),
         ("fedavg", {"gm_max_iter": 0}, "defense.gm_max_iter must be >= 1"),
-        ("krum", {"f": 4}, r"krum needs n_clients >= defense.f \+ 3"),
-        ("multi_krum", {"f": 4}, r"multi_krum needs n_clients >= defense.f \+ 3"),
-        ("multi_krum", {"f": 1, "m": 4}, "multi_krum needs defense.m <= n_clients"),
-        ("trimmed_mean", {"beta": 3}, "trimmed_mean needs n_clients > 2"),
+        ("krum", {"f": 4}, r"^krum needs n_clients >= 7 \(got 6; defense.f=4, defense.m=2, defense.beta=1\)$"),
+        ("multi_krum", {"f": 4}, r"^multi_krum needs n_clients >= 8 \(got 6; defense.f=4,"),
+        ("multi_krum", {"f": 1, "m": 4}, r"^multi_krum needs n_clients >= 7 \(got 6; defense.f=1, defense.m=4,"),
+        ("trimmed_mean", {"beta": 3}, r"^trimmed_mean needs n_clients >= 7 \(got 6; .*defense.beta=3\)$"),
     ]:
         cfg = tiny_cfg(defense=defense_name)
         for k, v in params.items():
@@ -171,7 +171,7 @@ def test_config_validate_errors(tmp_path):
         with pytest.raises(ValueError, match=message):
             cfg.validate()
     # the cosine filter's threshold needs two rows
-    with pytest.raises(ValueError, match=r"cosine_filter needs n_clients >= 2 \(got 1\)"):
+    with pytest.raises(ValueError, match=r"cosine_filter needs n_clients >= 2 \(got 1;"):
         tiny_cfg(n_clients=1, n_attackers=0).validate()
     tiny_cfg(n_clients=2, n_attackers=0).validate()
     # a seed is one 32-bit word: outside [0, 2**32) it would alias one inside
