@@ -43,6 +43,13 @@ def _sq_dists(rows: np.ndarray, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.square(np.subtract(rows, x, out=buf), out=buf), axis=1)
 
 
+def _nearest_sums(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's sum of its k smallest entries off the diagonal; a NaN sorts last."""
+    n = len(d2)
+    off = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    return np.add.reduce(off[:, :k], axis=1)
+
+
 def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     """Each row's krum score; the caller checks n >= f + 3, as apply_defense does."""
     n = len(updates)
@@ -51,17 +58,56 @@ def krum_scores(updates: np.ndarray, f: int) -> np.ndarray:
     d2, buf = np.zeros((n, n)), np.empty_like(updates[1:])
     for i in range(n - 1):
         d2[i, i + 1 :] = d2[i + 1 :, i] = _sq_dists(updates[i + 1 :], updates[i], buf[: n - 1 - i])
-    # each row's n - f - 2 nearest others, off the diagonal; a NaN sorts last
-    off = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
-    return np.add.reduce(off[:, : n - f - 2], axis=1)
+    # each row's n - f - 2 nearest others
+    return _nearest_sums(d2, n - f - 2)
+
+
+def gram_selection(updates: np.ndarray, f: int, m: int) -> Optional[np.ndarray]:
+    """The m rows with the lowest krum scores, ranked by the Gram form
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j (one GEMM), or None unless a forward-error
+    bound certifies that krum_scores' exact pass selects the same set.
+
+    A dot product over d float64 terms errs by at most g_d * sum|x||y|, with
+    g_k = k*u / (1 - k*u) (Higham 2002, sec. 3.1). So a Gram entry and an exact
+    entry each err from the true squared distance by at most g_(d+2) * R_ij,
+    R_ij = (|x_i| + |x_j|)^2; a row's k-th smallest entry moves by at most its
+    largest entry error, and the two paths' scores, summation included, differ
+    by at most 2k * g_(d+k+2) * (|x_i| + max_j |x_j|)^2. The bound below
+    doubles that, for the rounding of the norms, of the bound itself and of
+    the comparison, and adds d + 2 smallest normal numbers per entry, for
+    underflow. The pick is certified when every selected score plus its bound
+    lies below every unselected score minus its bound, which a tie at the
+    boundary never does.
+    """
+    d, k = updates.shape[1], len(updates) - f - 2
+    d2 = updates @ updates.T
+    sq = d2.diagonal().copy()
+    # a non-finite row, or one so long that the bound could overflow
+    if not np.isfinite(sq).all() or sq.max() > 1e300:
+        return None
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq
+    scores = _nearest_sums(d2, k)
+    ku = (d + k + 2) * np.finfo(float).eps / 2
+    norms = np.sqrt(sq)
+    bound = 4 * k * (ku / (1 - ku) * (norms + norms.max()) ** 2 + (d + 2) * np.finfo(float).tiny)
+    order = np.argsort(scores, kind="stable")
+    sel, rest = order[:m], order[m:]
+    if np.max(scores[sel] + bound[sel]) < np.min(scores[rest] - bound[rest]):
+        return sel
+    return None
 
 
 def multi_krum(updates: np.ndarray, f: int, m: int) -> tuple[list[int], np.ndarray]:
     """The m updates with the lowest krum scores (ties to the lowest index)
     and their mean. Krum is multi-krum with m = 1 (Blanchard et al. 2017).
-    A NaN score sorts last. The caller checks 1 <= m <= n - f - 2."""
-    scores = krum_scores(updates, f)
-    selected = sorted(np.argsort(scores, kind="stable")[:m].tolist())
+    The Gram ranking's pick is taken where certified, krum_scores' otherwise;
+    a NaN score sorts last. The caller checks 1 <= m <= n - f - 2."""
+    picked = gram_selection(updates, f, m)
+    if picked is None:
+        picked = np.argsort(krum_scores(updates, f), kind="stable")[:m]
+    selected = sorted(picked.tolist())
     return selected, updates[selected].mean(axis=0)
 
 

@@ -133,17 +133,91 @@ def test_krum_needs_enough_clients():
 
 
 def test_krum_scores_memory_linear_in_n():
-    # one row of distances at a time: the n x n x d difference tensor would
-    # take n * d * n * 8 bytes, here 118 MB
+    # one row of distances at a time, and the whole selection through one
+    # n x n Gram matrix: the n x n x d difference tensor would take
+    # n * d * n * 8 bytes, here 118 MB
     n, d = 60, 4096
     u = np.random.default_rng(0).standard_normal((n, d))
-    tracemalloc.start()
-    try:
-        defense.krum_scores(u, f=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n * d * 8
+    for select in (lambda: defense.krum_scores(u, f=2), lambda: defense.multi_krum(u, f=12, m=30)):
+        tracemalloc.start()
+        try:
+            select()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8
+
+
+def _exact_selection(u, f, m):
+    return sorted(np.argsort(defense.krum_scores(u, f), kind="stable")[:m].tolist())
+
+
+@given(
+    f=st.integers(0, 3),
+    m=st.integers(1, 3),
+    extra=st.integers(0, 4),
+    d=st.integers(1, 40),
+    twins=st.integers(0, 3),
+    dups=st.integers(0, 2),
+    zeros=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_multi_krum_selects_what_the_exact_pass_selects(f, m, extra, d, twins, dups, zeros, seed):
+    # n from multi-krum's minimum up to 12; each row at a scale from 1e-3 to
+    # 1e3, some rows twins of another (noise of relative norm 1e-3, as grmp
+    # submits), exact duplicates or zero
+    n = defense.min_rows("multi_krum", defense.DefenseParams(f=f, m=m)) + extra
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    for _ in range(twins):
+        i, j = rng.choice(n, 2, replace=False)
+        noise = rng.standard_normal(d)
+        u[j] = u[i] + 1e-3 * np.linalg.norm(u[i]) * noise / np.linalg.norm(noise)
+    for _ in range(dups):
+        i, j = rng.choice(n, 2, replace=False)
+        u[j] = u[i]
+    u[rng.choice(n, zeros, replace=False)] = 0.0
+    selected, agg = defense.multi_krum(u, f, m)
+    assert selected == _exact_selection(u, f, m)
+    assert np.array_equal(agg, u[selected].mean(axis=0))
+
+
+def _pairs(seed):
+    """Four distinct rows, each twice: the scores come in equal pairs, so an
+    odd m splits a pair at the selection boundary."""
+    return np.repeat(np.random.default_rng(seed).standard_normal((4, 5)), 2, axis=0)
+
+
+def _with_row(value):
+    def make(seed):
+        u = np.random.default_rng(seed).standard_normal((8, 5))
+        u[seed % 8, seed % 5] = value
+        return u
+    return make
+
+
+@pytest.mark.parametrize("make", [_pairs, _with_row(np.nan), _with_row(np.inf), _with_row(-np.inf)],
+                         ids=["boundary_tie", "nan_row", "inf_row", "minus_inf_row"])
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_uncertifiable_picks_take_the_exact_pass(monkeypatch, make, m, seed):
+    u, f = make(seed), 1
+    want = _exact_selection(u, f, m)
+    calls = []
+    real = defense.krum_scores
+
+    def counting(updates, f):
+        calls.append(f)
+        return real(updates, f)
+
+    monkeypatch.setattr(defense, "krum_scores", counting)
+    assert defense.gram_selection(u, f, m) is None
+    selected, agg = defense.multi_krum(u, f, m)
+    assert calls == [f]
+    assert selected == want
+    assert np.array_equal(agg, u[want].mean(axis=0))
+    assert np.isfinite(u[selected]).all()
 
 
 def test_multi_krum_selects_m_best():
@@ -344,6 +418,39 @@ def test_apply_defense_permutation_equivariant(name):
     assert np.array_equal(r1.accepted[perm], r2.accepted)
     if name in ("krum", "multi_krum"):
         assert np.allclose(defense.krum_scores(u, params.f)[perm], defense.krum_scores(u[perm], params.f))
+
+
+@pytest.mark.parametrize("name", defense.DEFENSES)
+@given(
+    extra=st.integers(0, 6),
+    d=st.integers(1, 8),
+    f=st.integers(0, 3),
+    beta=st.integers(0, 3),
+    m=st.integers(1, 4),
+    lam=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_apply_defense_permutation_equivariant_property(name, extra, d, f, beta, m, lam, seed):
+    # distinct rows, so no tie falls to the lowest index: a rule accepts the
+    # permuted rows and aggregates them to the same point. Under krum the two
+    # rows of the closest pair still tie when each row's score is its one
+    # nearest distance, so an instance tied at the selection boundary is skipped
+    params = defense.DefenseParams(f=f, m=m, beta=beta, lambda_=lam)
+    n = defense.min_rows(name, params) + extra
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, d))
+    if name in ("krum", "multi_krum"):
+        kept = 1 if name == "krum" else m
+        scores = np.sort(defense.krum_scores(u, f))
+        assume(scores[kept - 1] < scores[kept])
+    w = rng.uniform(0.5, 2.0, n)
+    cos = _cosines(u, u.mean(axis=0))
+    perm = rng.permutation(n)
+    r1 = defense.apply_defense(name, u, w, cos, params)
+    r2 = defense.apply_defense(name, u[perm], w[perm], cos[perm], params)
+    assert np.array_equal(r1.accepted[perm], r2.accepted)
+    assert np.allclose(r1.aggregate, r2.aggregate, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("name", defense.DEFENSES)

@@ -766,6 +766,34 @@ def test_switch_after_the_last_round_branches_to_no_further_rounds(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# krum's certified pick
+
+def _cohort_cfg(rule):
+    # the large_cohort benchmark's experiment, cut to three rounds with two exploit rounds
+    return sim.ExperimentConfig(
+        n_clients=60, n_attackers=12, rounds=3, phase_switch_round=2, attack="naive_flip",
+        defense=rule, defense_params=defense.DefenseParams(f=12, m=30),
+    )
+
+
+@pytest.mark.parametrize("rule", ["krum", "multi_krum"])
+def test_certified_gram_pick_writes_the_exact_pass_bytes(monkeypatch, tmp_path, rule):
+    picks = []
+    real = defense.gram_selection
+
+    def spy(updates, f, m):
+        picks.append(real(updates, f, m))
+        return picks[-1]
+
+    monkeypatch.setattr(defense, "gram_selection", spy)
+    gram = _cold_files(_cohort_cfg(rule), tmp_path / "gram")
+    # every round's pick came from the Gram ranking
+    assert len(picks) == 3 and all(p is not None for p in picks)
+    monkeypatch.setattr(defense, "gram_selection", lambda updates, f, m: None)
+    assert _cold_files(_cohort_cfg(rule), tmp_path / "exact") == gram
+
+
+# ---------------------------------------------------------------------------
 # attacker placement
 
 def test_attacker_ids_hold_most_flippable_data():
