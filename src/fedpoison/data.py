@@ -2,6 +2,7 @@
 
 The text pipeline is deliberately primitive (lowercase alphanumeric tokens,
 hashed bag-of-words) so that every step has a one-line independent oracle.
+Config values arrive checked by `ExperimentConfig.validate`.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _read_agnews_split(path: str) -> list[Example]:
 
 
 def load_agnews_csv(train_path: str, test_path: str) -> Corpus:
-    """Load the Kaggle AG News CSVs (class 1..4, title, description)."""
+    """Load the Kaggle AG News CSVs (class 1..4, title, description). A bad
+    row is named by file and row number: the files are outside input."""
     return Corpus(train=_read_agnews_split(train_path), test=_read_agnews_split(test_path))
 
 
@@ -170,10 +172,6 @@ def synth_corpus(cfg: DataConfig, seed: int) -> Corpus:
     Pure function of (cfg, seed): the draws are those of
     `np.random.default_rng(seed)`, read from PCG64's raw stream.
     """
-    if min(cfg.train_per_class, cfg.test_per_class, cfg.vocab_per_class) < 1:
-        raise ValueError("synth sizes must be >= 1")
-    if not 0.0 <= cfg.trigger_rate <= 1.0:
-        raise ValueError("trigger_rate must lie in [0, 1]")
     draw = _RawStream(seed)
     train = [
         _synth_example(draw, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.train_per_class)
@@ -204,8 +202,6 @@ def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tupl
     counted; a row's norm is the root of its summed squared counts, exact in
     any order, as every term is an integer.
     """
-    if hash_dim < 1 or hash_dim & (hash_dim - 1):
-        raise ValueError(f"hash_dim must be a power of two, got {hash_dim}")
     exs = list(examples)
     bucket = {t: hash_bucket(t, hash_dim, seed) for t in {t for e in exs for t in e.tokens}}
     rows = np.repeat(np.arange(len(exs)), [len(e.tokens) for e in exs])
@@ -223,12 +219,10 @@ def partition_noniid(corpus: Corpus, n_clients: int, alpha: float, seed: int) ->
     one sorted index array per client.
 
     Disjoint cover of the train set; a client that would end up empty steals
-    one example from the currently largest client.
+    one example from the currently largest client. More clients than train
+    examples is an error: an AG News train set's size comes from its file,
+    which `validate` does not read.
     """
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     if n_clients > len(corpus.train):
         raise ValueError(f"n_clients={n_clients} exceeds train size {len(corpus.train)}")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,8 @@ floor, (4) re-express the benign spectral content in the adversarial graph's
 Laplacian basis and blend in the poison direction.
 
 Everything is dense numpy; node counts are tiny (one node per client), so the
-eigendecompositions are effectively free.
+eigendecompositions are effectively free. Config values arrive checked by
+`ExperimentConfig.validate`; the checks here detect faults a valid run reaches.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def build_update_graph(updates: np.ndarray, tau_edge: float) -> UpdateGraph:
     """Node per update; edge where pairwise cosine >= tau_edge."""
     X = np.asarray(updates, dtype=float)
     n = len(X)
-    if n < 2:
-        raise ValueError("update graph needs n >= 2")
     A = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -83,14 +82,6 @@ class GraphStack:
 
 
 def stack_graphs(graphs: list[UpdateGraph]) -> GraphStack:
-    if not graphs:
-        raise ValueError("need at least one graph")
-    n, d = graphs[0].X.shape
-    for g in graphs:
-        if g.X.shape[1] != d:
-            raise ValueError("all graphs must share the feature dimension")
-        if len(g.X) != n:
-            raise ValueError("all graphs must share the node count")
     An = [_normalized_adjacency(g.A) for g in graphs]
     return GraphStack(
         A=np.stack([g.A for g in graphs]),
@@ -109,8 +100,6 @@ def stack_graphs(graphs: list[UpdateGraph]) -> GraphStack:
 
 def init_vgae(d: int, h: int, k: int, seed: int) -> VgaeParams:
     """Xavier-uniform initialization."""
-    if not k <= h <= d:
-        raise ValueError(f"need latent <= hidden <= d (got {k}, {h}, {d})")
     rng = np.random.default_rng(seed)
 
     def xavier(fan_in, fan_out):
@@ -129,10 +118,6 @@ def _encode(params: VgaeParams, An: np.ndarray, Hpre: np.ndarray) -> tuple:
 
 def vgae_encode(params: VgaeParams, g: UpdateGraph) -> tuple[np.ndarray, np.ndarray]:
     """Two-layer GCN producing per-node Gaussian mean and log-variance."""
-    if g.X.shape[1] != params.W0.shape[0]:
-        raise ValueError(
-            f"feature dim {g.X.shape[1]} != encoder input dim {params.W0.shape[0]}"
-        )
     An = _normalized_adjacency(g.A)
     _, mu, logvar = _encode(params, An, (An @ g.X) @ params.W0)
     return mu, logvar
@@ -157,8 +142,6 @@ def _recon_weight(A: np.ndarray) -> float:
 def recon_bce(A_hat: np.ndarray, A: np.ndarray) -> float:
     """Edge-weighted binary cross-entropy over off-diagonal entries."""
     n = len(A)
-    if n < 2:
-        return 0.0
     p = np.clip(A_hat, _CLIP, 1.0 - _CLIP)
     w = _recon_weight(A)
     off = ~np.eye(n, dtype=bool)
@@ -279,12 +262,9 @@ def lagrange_dual_search(
     floor (falling back to the last iterate if none did), its binarized
     adjacency, the mean of the benign rows synthesized in that adjacency's
     Laplacian basis and its reconstruction BCE; and the BCE of step 0 (the
-    encoder mean).
+    encoder mean). The caller clips stealth_floor to [-1, 1]. A non-finite
+    objective is a fault of the fit or the step size, named by its step.
     """
-    if not -1.0 <= stealth_floor <= 1.0:
-        raise ValueError("stealth_floor must lie in [-1, 1]")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     mu0, _ = vgae_encode(params, g)
     S_hat = gsp_decompose(g)
     w = _recon_weight(g.A)
@@ -345,8 +325,6 @@ def _laplacian_basis(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def gsp_decompose(g: UpdateGraph) -> np.ndarray:
     """The spectral coefficients U^T X of the stacked updates in the benign
     graph's Laplacian eigenbasis U."""
-    if len(g.X) < 2:
-        raise ValueError("need n >= 2 nodes")
     _, U, _ = _laplacian_basis(g.A)
     return U.T @ g.X
 
@@ -370,7 +348,8 @@ def project_stealth(
     If the cosine floor is violated, add the smallest alpha >= 0 multiple of
     the reference that reaches it (closed form from the parallel/orthogonal
     split); norm violations are fixed by uniform rescaling, which preserves
-    the cosine.
+    the cosine. A zero reference has no direction to project toward, and a
+    valid run reaches one: at lr = 0 every benign row, and so their mean, is 0.
     """
     r_norm = np.linalg.norm(reference)
     if r_norm == 0:
@@ -402,7 +381,8 @@ def craft_with_trace(
 ) -> tuple[np.ndarray, dict]:
     """Full pipeline: graph -> dual search -> spectral synthesis -> blend ->
     stealth projection onto cosine(., reference) >= stealth_floor. Returns the
-    flat malicious delta plus a trace dict."""
+    flat malicious delta plus a trace dict. A non-finite raw poison, from a
+    diverging distillation, is an error rather than a row."""
     benign_updates = np.asarray(benign_updates, dtype=float)
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")

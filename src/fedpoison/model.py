@@ -2,7 +2,8 @@
 
 The weight matrix W has shape (class_count, hash_dim) and is carried around
 flattened row-major; updates exchanged with the server are deltas in the same
-layout.
+layout. Only `init_params` takes the class count; the rest read it from the
+weights. Config values arrive checked by `ExperimentConfig.validate`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ class SparseRows:
 
 def init_params(hash_dim: int, class_count: int) -> np.ndarray:
     """Zero init: softmax over zero logits is uniform."""
-    if hash_dim < 1 or class_count < 1:
-        raise ValueError("dims must be >= 1")
     return np.zeros(hash_dim * class_count)
 
 
@@ -66,18 +65,14 @@ def _softmax(logits: np.ndarray, axis: int = -1, red: np.ndarray | None = None) 
     return logits
 
 
-def predict_proba(params: np.ndarray, X: np.ndarray, class_count: int) -> np.ndarray:
-    W = params.reshape(class_count, -1)
-    if W.shape[1] != X.shape[1]:
-        raise ValueError(f"feature dim {X.shape[1]} != weight dim {W.shape[1]}")
-    return _softmax(X @ W.T)
+def predict_proba(params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return _softmax(X @ params.reshape(-1, X.shape[1]).T)
 
 
 def local_train(
     global_params: np.ndarray,
     X: SparseRows,
     y: np.ndarray,
-    class_count: int,
     epochs: int,
     lr: float,
     batch_size: int,
@@ -103,23 +98,15 @@ def local_train(
     divide's time; other m divide. Each product is one matmul per copy, the
     one a single copy gets, so every copy gets the bits of its own call.
     """
-    if len(X) == 0:
-        raise ValueError("empty local dataset")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    Y = np.atleast_2d(y)
-    if Y.ndim != 2 or Y.shape[1] != len(X):
-        raise ValueError(f"labels of shape {np.shape(y)} for {len(X)} rows")
     rng = np.random.default_rng(seed)
-    k, n = Y.shape
-    W = np.tile(global_params, (k, 1)).reshape(k, class_count, -1)
-    if W.shape[2] != X.dim:
-        raise ValueError(f"feature dim {X.dim} != weight dim {W.shape[2]}")
-    onehot = np.zeros((k, class_count, n))
+    Y = np.atleast_2d(y)
+    k, n = len(Y), len(X)
+    W = np.tile(global_params, (k, 1)).reshape(k, -1, X.dim)
+    onehot = np.zeros(W.shape[:2] + (n,))
     onehot[np.arange(k)[:, None], Y, np.arange(n)] = 1.0
     # one batch's dense rows, probabilities, column reductions and gradient
     buf = np.zeros((min(batch_size, n), X.dim))
-    P = np.empty((k, class_count, len(buf)))
+    P = np.empty(W.shape[:2] + (len(buf),))
     red = np.empty((k, 1, len(buf)))
     G = np.empty_like(W)
     # the flat index of each row's pairs in buf, at its place in its batch
@@ -149,19 +136,15 @@ def local_train(
     return delta if np.ndim(y) == 2 else delta[0]
 
 
-def evaluate_accuracy(params: np.ndarray, X: np.ndarray, y: np.ndarray, class_count: int) -> float:
+def evaluate_accuracy(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Argmax accuracy; ties resolve to the lowest class id (np.argmax)."""
-    if len(X) == 0:
-        raise ValueError("empty test set")
-    preds = predict_proba(params, X, class_count).argmax(axis=1)
+    preds = predict_proba(params, X).argmax(axis=1)
     return float(np.mean(preds == y))
 
 
-def evaluate_asr(params: np.ndarray, X_subset: np.ndarray, dst_class: int, class_count: int) -> float:
+def evaluate_asr(params: np.ndarray, X_subset: np.ndarray, dst_class: int) -> float:
     """Fraction of the trigger subset predicted as the attacker's target class."""
-    if len(X_subset) == 0:
-        raise ValueError("empty ASR subset")
-    preds = predict_proba(params, X_subset, class_count).argmax(axis=1)
+    preds = predict_proba(params, X_subset).argmax(axis=1)
     return float(np.mean(preds == dst_class))
 
 
@@ -173,6 +156,8 @@ def save_params(params: np.ndarray, path: str) -> None:
 
 
 def load_params(path: str) -> np.ndarray:
+    """The array `save_params` wrote; a truncated or inconsistent file, which
+    comes from outside a run, is named."""
     with open(path, "rb") as fh:
         head, buf = fh.read(8), fh.read()
     if len(head) < 8 or len(buf) % 8:

@@ -49,6 +49,8 @@ class ExperimentConfig:
     grmp: GrmpConfig = field(default_factory=GrmpConfig)
 
     def validate(self) -> None:
+        """The one gate for what a run's config must satisfy; a failure names
+        its key. The data, model and grmp layers trust what it checks."""
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 1 <= self.phase_switch_round <= self.rounds + 1:
@@ -266,9 +268,7 @@ class _RunState:
 
 def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
     cfg = state.cfg
-    return model_mod.local_train(
-        state.params, X, y, data_mod.N_CLASSES, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
-    )
+    return model_mod.local_train(state.params, X, y, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay)
 
 
 def _score(state: _RunState, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -361,8 +361,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     data = state.data
     return RoundRecord(
         round=round_idx,
-        accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test, data_mod.N_CLASSES),
-        asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class, data_mod.N_CLASSES),
+        accuracy=model_mod.evaluate_accuracy(state.params, data.X_test, data.y_test),
+        asr=model_mod.evaluate_asr(state.params, data.X_asr, cfg.data.dst_class),
         per_client_cosine=per_client_cosine,
         threshold=report.threshold,
         accepted=list(map(bool, report.accepted)),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from fedpoison import cli, data, defense, grmp, model, sim
+from fedpoison import cli, defense, grmp, model, sim
 from test_grmp import vgae_loss
 from test_model import loss_and_grad
 
@@ -323,7 +323,7 @@ def test_criterion_7_norm_outlier_contained():
         state = sim._RunState(cfg)
         deltas = np.stack([
             model.local_train(
-                state.params, X, y, data.N_CLASSES, cfg.local_epochs,
+                state.params, X, y, cfg.local_epochs,
                 cfg.lr, cfg.batch_size, sim._child_seed(seed, "train", 1, i),
             )
             for i, (X, y, _) in enumerate(state.data.clients)

@@ -221,6 +221,24 @@ def test_empty_asr_subset_exit_code_2(tmp_path, capsys):
     assert "error: ASR subset empty: no test example of class 2 holds a trigger (stock, market, earnings, profit)" in err
 
 
+def test_agnews_train_smaller_than_the_cohort_exit_code_2(tmp_path, capsys):
+    # validate does not read the files, so the partition names the train size
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text('"1","a","b"\n"2","c","d"\n"3","stock e","f"\n')
+    test.write_text('"3","stock g","h"\n')
+    cfg_path = _write_tiny(tmp_path, f"data.source = agnews\ndata.agnews_train = {train}\ndata.agnews_test = {test}\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "error: n_clients=6 exceeds train size 3" in capsys.readouterr().err
+
+
+def test_grmp_zero_reference_exit_code_2(tmp_path, capsys):
+    # at lr = 0 no round moves the model, so the benign rows grmp scores at the
+    # switch, and their mean, are zero: a valid config with no direction to project on
+    cfg_path = _write_tiny(tmp_path, "attack = grmp\nlr = 0\nrounds = 12\nphase_switch_round = 11\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "error: round 11 failed: reference direction has zero norm" in capsys.readouterr().err
+
+
 def test_unknown_scenario_exit_code_1(tmp_path, capsys):
     assert cli.main(["scenario", "nope", "--out", str(tmp_path / "o")]) == 1
     assert "unknown scenario" in capsys.readouterr().err

@@ -108,11 +108,6 @@ def test_featurize_empty_tokens_is_zero():
     assert not featurize_oracle((), 8, seed=3).any()
 
 
-def test_featurize_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="hash_dim must be a power of two, got 12"):
-        data.featurize_all([data.Example(tokens=("x",), label=0)], 12, seed=0)
-
-
 def test_featurize_deterministic():
     a = featurize_oracle(("alpha", "beta"), 64, seed=11)
     b = featurize_oracle(("alpha", "beta"), 64, seed=11)
@@ -260,13 +255,6 @@ def test_data_pipeline_bytes_are_pinned(seed):
     assert tuple(got) == _PINNED[seed]
 
 
-def test_synth_corpus_validates():
-    with pytest.raises(ValueError):
-        data.synth_corpus(data.DataConfig(train_per_class=0), 0)
-    with pytest.raises(ValueError):
-        data.synth_corpus(data.DataConfig(trigger_rate=1.5), 0)
-
-
 # ---------------------------------------------------------------------------
 # partition
 
@@ -304,12 +292,10 @@ def test_partition_skew_increases_at_low_alpha():
 
 
 def test_partition_validates():
+    # an AG News train set's size comes from its file, which validate does not
+    # read, so the partition names a cohort larger than it
     corpus = data.synth_corpus(data.DataConfig(train_per_class=5, test_per_class=2), 0)
-    with pytest.raises(ValueError):
-        data.partition_noniid(corpus, 0, 1.0, 0)
-    with pytest.raises(ValueError):
-        data.partition_noniid(corpus, 3, 0.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_clients=100 exceeds train size 20$"):
         data.partition_noniid(corpus, 100, 1.0, 0)
 
 

@@ -1,6 +1,7 @@
 """Aggregation rules against brute-force / sort / grid oracles, plus the
 spec's invariance properties."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -489,6 +490,46 @@ def test_apply_defense_report_contract_on_hostile_rows(name, extra, d, f, beta, 
     assert np.isfinite(rep.aggregate).all()
     tol = 1e-9 * np.abs(u).max()
     assert (rep.aggregate >= u.min(axis=0) - tol).all() and (rep.aggregate <= u.max(axis=0) + tol).all()
+
+
+@pytest.mark.parametrize("name", defense.DEFENSES)
+@given(
+    extra=st.integers(0, 4),
+    d=st.integers(1, 6),
+    f=st.integers(0, 3),
+    beta=st.integers(0, 3),
+    m=st.integers(1, 4),
+    lam=st.floats(0.0, 3.0),
+    k=st.integers(-10, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_apply_defense_scale_equivariant_property(name, extra, d, f, beta, m, lam, k, seed):
+    # rows scaled by c = 2^k: every distance, sort, mean and cosine moves by
+    # c, c^2 or not at all, exactly, so a rule accepts the same rows, sets the
+    # same threshold and returns c times its aggregate, bit for bit. Weiszfeld
+    # runs with gm_tol * c, but clamps a distance at an absolute 1e-12, so the
+    # geometric median lands within a few ulps of the rows' largest entry
+    c = 2.0**k
+    params = defense.DefenseParams(f=f, m=m, beta=beta, lambda_=lam)
+    n = defense.min_rows(name, params) + extra
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    if n >= 2:
+        dup = rng.choice(n, 2, replace=False)
+        u[dup[0]] = u[dup[1]]
+    w = rng.integers(1, 100, n).astype(float)
+    ref = u.mean(axis=0)
+    r1 = defense.apply_defense(name, u, w, _cosines(u, ref), params)
+    scaled = dataclasses.replace(params, gm_tol=params.gm_tol * c)
+    r2 = defense.apply_defense(name, c * u, w, _cosines(c * u, c * ref), scaled)
+    assert np.array_equal(r1.accepted, r2.accepted)
+    assert r1.threshold == r2.threshold
+    if name == "geometric_median":
+        ulp = np.spacing(c * np.abs(u).max())
+        assert np.allclose(r2.aggregate, c * r1.aggregate, rtol=0, atol=4 * ulp)
+    else:
+        assert r2.aggregate.tobytes() == (c * r1.aggregate).tobytes()
 
 
 @pytest.mark.parametrize("name", defense.DEFENSES)

@@ -133,11 +133,6 @@ def test_build_update_graph_matches_pairwise_cosine():
     assert np.array_equal(g.A, g.A.T)
 
 
-def test_build_update_graph_needs_two_nodes():
-    with pytest.raises(ValueError):
-        grmp.build_update_graph(np.ones((1, 3)), 0.3)
-
-
 # ---------------------------------------------------------------------------
 # VGAE forward / loss
 
@@ -148,11 +143,6 @@ def test_encode_matches_straight_line_oracle():
     omu, olv = encode_oracle(p, g)
     assert np.allclose(mu, omu, atol=1e-12)
     assert np.allclose(lv, olv, atol=1e-12)
-
-
-def test_encode_dim_mismatch():
-    with pytest.raises(ValueError):
-        grmp.vgae_encode(_params(0, d=9), _graph(0, d=6))
 
 
 def test_decode_symmetric_in_unit_interval():
@@ -342,18 +332,6 @@ def test_fit_vgae_zero_epochs_returns_the_init():
     init = grmp.init_vgae(6, 4, 2, seed=5)
     for name in ("W0", "W_mu", "W_logvar"):
         assert np.array_equal(getattr(fit, name), getattr(init, name)), name
-
-
-def test_fit_vgae_needs_one_node_count():
-    with pytest.raises(ValueError, match="node count"):
-        grmp.fit_vgae([_graph(0, n=4), _graph(1, n=5)], 4, 2, epochs=1, lr=0.01, seed=0)
-    with pytest.raises(ValueError, match="feature dimension"):
-        grmp.fit_vgae([_graph(0, d=6), _graph(1, d=7)], 4, 2, epochs=1, lr=0.01, seed=0)
-
-
-def test_init_vgae_dim_order():
-    with pytest.raises(ValueError):
-        grmp.init_vgae(4, 8, 2, 0)  # hidden > d
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +578,6 @@ def test_dual_search_synthesizes_each_adjacency_once(monkeypatch, seed, floor):
         assert np.array_equal(a, b)
     assert sorted(synthesized) == sorted(set(visited))
     assert len(synthesized) < len(visited)
-
-
-def test_dual_search_validates():
-    g, p, ref = _search_setup(2)
-    with pytest.raises(ValueError):
-        grmp.lagrange_dual_search(p, g, ref, 1.5, 10, 0.05)
-    with pytest.raises(ValueError):
-        grmp.lagrange_dual_search(p, g, ref, 0.3, 0, 0.05)
 
 
 # ---------------------------------------------------------------------------

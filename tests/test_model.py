@@ -138,7 +138,7 @@ def test_gradient_with_weight_decay_matches_fd():
 
 def test_softmax_rows_normalized():
     X, y, params, k = _instance(4)
-    P = model.predict_proba(params, X, k)
+    P = model.predict_proba(params, X)
     assert np.allclose(P.sum(axis=1), 1.0)
     assert (P > 0).all()
 
@@ -161,7 +161,7 @@ def test_class_major_softmax_equals_the_row_softmax(P):
 
 
 def test_loss_and_grad_oracle_rejects_an_empty_batch():
-    # local_train's own empty-dataset check is test_local_train_validates
+    # local_train takes no empty batch: every client holds a train example
     with pytest.raises(ValueError):
         loss_and_grad(np.zeros(8), np.zeros((0, 2)), np.zeros(0, dtype=int), 4)
 
@@ -209,8 +209,8 @@ def test_sparse_rows_from_pairs_equals_from_dense_and_densifies_back(X):
 # local training
 
 def test_local_train_zero_lr_zero_delta():
-    X, y, params, k = _instance(5)
-    delta = model.local_train(params, _sparse(X), y, k, epochs=2, lr=0.0, batch_size=4, seed=0)
+    X, y, params, _ = _instance(5)
+    delta = model.local_train(params, _sparse(X), y, epochs=2, lr=0.0, batch_size=4, seed=0)
     assert not delta.any()
 
 
@@ -221,7 +221,7 @@ def test_local_train_full_batch_step_is_the_loss_and_grad_step(n, batch_size, wd
     # it trains with is loss_and_grad's, bit for bit, so the finite-difference
     # checks of loss_and_grad cover the gradient that runs train with
     X, y, params, k = _instance(6, n=n)
-    delta = model.local_train(params, _sparse(X), y, k, epochs=1, lr=0.5,
+    delta = model.local_train(params, _sparse(X), y, epochs=1, lr=0.5,
                               batch_size=batch_size, seed=3, weight_decay=wd)
     order = np.random.default_rng(3).permutation(n)
     _, g = loss_and_grad(params, X[order], y[order], k, wd)
@@ -245,10 +245,10 @@ def test_scaling_by_other_batch_sizes_must_divide():
 
 
 def test_local_train_deterministic_and_leaves_input_alone():
-    X, y, params, k = _instance(7)
+    X, y, params, _ = _instance(7)
     before = params.copy()
-    d1 = model.local_train(params, _sparse(X), y, k, 3, 0.1, 4, seed=42)
-    d2 = model.local_train(params, _sparse(X), y, k, 3, 0.1, 4, seed=42)
+    d1 = model.local_train(params, _sparse(X), y, 3, 0.1, 4, seed=42)
+    d2 = model.local_train(params, _sparse(X), y, 3, 0.1, 4, seed=42)
     assert np.array_equal(d1, d2)
     assert np.array_equal(params, before)
 
@@ -268,7 +268,7 @@ def test_local_train_equals_the_written_out_sgd(n, d, batch_size, wd):
     X, y, params, k = _train_instance(10, n, d)
     for seed in range(3):
         want = sgd_oracle(params, X, y, k, 4, 0.3, batch_size, seed, wd)
-        got = model.local_train(params, _sparse(X), y, k, 4, 0.3, batch_size, seed, wd)
+        got = model.local_train(params, _sparse(X), y, 4, 0.3, batch_size, seed, wd)
         assert np.array_equal(got, want)
 
 
@@ -278,7 +278,7 @@ def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, bat
     X, _, params, k = _train_instance(11, n, d)
     X = _sparse(X)
     Y = np.random.default_rng(copies).integers(0, k, size=(copies, n))
-    args = (k, 3, 0.3, batch_size, 7, wd)
+    args = (3, 0.3, batch_size, 7, wd)
     stacked = model.local_train(params, X, Y, *args)
     assert stacked.shape == (copies, params.size)
     for i in range(copies):
@@ -286,30 +286,17 @@ def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, bat
 
 
 def test_local_train_equal_label_sets_in_lockstep_give_equal_deltas():
-    X, y, params, k = _train_instance(12, 13, 6)
-    deltas = model.local_train(params, _sparse(X), np.stack([y, y]), k, 3, 0.3, 4, 5)
+    X, y, params, _ = _train_instance(12, 13, 6)
+    deltas = model.local_train(params, _sparse(X), np.stack([y, y]), 3, 0.3, 4, 5)
     assert np.array_equal(deltas[0], deltas[1])
 
 
 def test_local_train_decreases_loss():
     X, y, params, k = _instance(8, n=60)
-    delta = model.local_train(params, _sparse(X), y, k, epochs=5, lr=0.3, batch_size=16, seed=1)
+    delta = model.local_train(params, _sparse(X), y, epochs=5, lr=0.3, batch_size=16, seed=1)
     l0, _ = loss_and_grad(params, X, y, k)
     l1, _ = loss_and_grad(params + delta, X, y, k)
     assert l1 < l0
-
-
-def test_local_train_validates():
-    X, y, params, k = _instance(9)
-    with pytest.raises(ValueError):
-        model.local_train(params, _sparse(X[:0]), y[:0], k, 1, 0.1, 4, 0)
-    X = _sparse(X)
-    with pytest.raises(ValueError):
-        model.local_train(params, X, y, k, 0, 0.1, 4, 0)
-    # one label per row, in one label set or several
-    for bad in (y[:-1], np.stack([y, y])[:, :-1], y[None, None]):
-        with pytest.raises(ValueError, match="labels of shape"):
-            model.local_train(params, X, bad, k, 1, 0.1, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +304,18 @@ def test_local_train_validates():
 
 def test_accuracy_perfect_and_tie_break():
     X = np.eye(3)
-    k = 3
     W = np.eye(3) * 5.0
-    assert model.evaluate_accuracy(W.ravel(), X, np.arange(3), k) == 1.0
+    assert model.evaluate_accuracy(W.ravel(), X, np.arange(3)) == 1.0
     # zero params: argmax ties resolve to class 0
     y = np.array([0, 1, 2])
-    assert np.isclose(model.evaluate_accuracy(np.zeros(9), X, y, k), 1 / 3)
+    assert np.isclose(model.evaluate_accuracy(np.zeros(9), X, y), 1 / 3)
 
 
 def test_asr_counts_dst_class():
     X = np.eye(2)
     W = np.array([[3.0, 0.0], [0.0, -1.0]])  # both examples land in class 0
-    assert model.evaluate_asr(W.ravel(), X, dst_class=0, class_count=2) == 1.0
-    assert model.evaluate_asr(W.ravel(), X, dst_class=1, class_count=2) == 0.0
+    assert model.evaluate_asr(W.ravel(), X, dst_class=0) == 1.0
+    assert model.evaluate_asr(W.ravel(), X, dst_class=1) == 0.0
 
 
 # ---------------------------------------------------------------------------

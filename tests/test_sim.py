@@ -254,10 +254,10 @@ def test_local_train_calls_per_round(monkeypatch, attack, exploit_calls):
     calls = []
     real_train, real_round = model.local_train, sim.run_round
 
-    def spy_train(global_params, X, y, class_count, epochs, *args, **kwargs):
+    def spy_train(global_params, X, y, epochs, *args, **kwargs):
         kind = "poison" if epochs == cfg.grmp.poison_epochs else "client"
         calls[-1][kind] = calls[-1].get(kind, 0) + 1
-        return real_train(global_params, X, y, class_count, epochs, *args, **kwargs)
+        return real_train(global_params, X, y, epochs, *args, **kwargs)
 
     def spy_round(state, round_idx):
         calls.append({})
@@ -350,8 +350,7 @@ def test_round_one_fedavg_matches_manual_reconstruction():
         state = sim._RunState(cfg)
         deltas = np.stack([
             model.local_train(
-                np.zeros_like(state.params), X, y, data_mod.N_CLASSES,
-                cfg.local_epochs, cfg.lr, cfg.batch_size,
+                np.zeros_like(state.params), X, y, cfg.local_epochs, cfg.lr, cfg.batch_size,
                 sim._child_seed(cfg.seed, "train", 1, i), weight_decay,
             )
             for i, (X, y, _) in enumerate(state.data.clients)
