@@ -124,13 +124,17 @@ def geometric_median(
     """Weiszfeld iteration from the coordinate mean, until a step is shorter
     than tol or after max_iter steps (Pillutla et al., RFA).
 
-    Points coinciding with the current iterate get their distance clamped at
-    1e-12. The caller checks the cohort, as apply_defense does.
+    A distance is clamped at 1e-12 times the rows' largest entry magnitude
+    (at 1e-12 when every entry is 0), so points coinciding with the current
+    iterate get a finite weight and rows scaled by 2^k give 2^k times the
+    median. The caller checks the cohort, as apply_defense does.
     """
+    # two reductions: np.abs(updates) would allocate an n x d temporary
+    floor = 1e-12 * (max(updates.max(), -updates.min()) or 1.0)
     x, buf = updates.mean(axis=0), np.empty_like(updates)
     for _ in range(max_iter):
         # np.linalg.norm(updates - x, axis=1), in one reused buffer
-        w = 1.0 / np.maximum(np.sqrt(_sq_dists(updates, x, buf)), 1e-12)
+        w = 1.0 / np.maximum(np.sqrt(_sq_dists(updates, x, buf)), floor)
         x_new = w @ updates / w.sum()
         step = np.linalg.norm(x_new - x)
         x = x_new
@@ -144,24 +148,6 @@ def cosine_threshold(cosines: np.ndarray, lam: float) -> float:
     clamped to the largest cosine, which np.mean of equal cosines can round above."""
     s = np.asarray(cosines, dtype=float)
     return float(np.minimum(s.mean() - lam * s.std(), s.max()))
-
-
-def cosine_threshold_filter(
-    updates: np.ndarray, cosines: np.ndarray, lam: float
-) -> AggregationReport:
-    """Accept updates whose cosine to the reference clears mean - lam*std.
-
-    `cosines` holds each update's cosine to the server's reference direction;
-    the caller rejects a zero-norm reference, under which every cosine is -1.
-    Std is the population standard deviation. Accepted updates are averaged
-    with equal weights. The caller checks n >= 2, as apply_defense does.
-    """
-    cosines = np.asarray(cosines, dtype=float)
-    tau = cosine_threshold(cosines, lam)
-    accepted = cosines >= tau
-    if not accepted.any():
-        raise DefenseError("no updates survive filter")
-    return AggregationReport(updates[accepted].mean(axis=0), accepted, tau)
 
 
 DEFENSES = (
@@ -201,22 +187,31 @@ def apply_defense(
     name: str,
     updates: np.ndarray,
     weights: np.ndarray,
-    cosines: np.ndarray,
+    cosines: Optional[np.ndarray],
     params: DefenseParams,
 ) -> AggregationReport:
     """Dispatch to a rule and normalize its output into an AggregationReport:
     the aggregate, the accept mask (every row, except under krum, multi_krum
     and the cosine filter) and the cosine filter's threshold.
 
-    `cosines` holds each update's cosine to the server's reference direction;
-    only the cosine filter reads them.
+    `cosines` holds each update's cosine to the server's reference direction,
+    or is None when that reference has zero norm; only the cosine filter reads
+    them. The filter accepts the rows whose cosine clears cosine_threshold
+    (mean - lam * population std) and averages them with equal weights.
     """
     updates = np.asarray(updates, dtype=float)
     n, need = len(updates), min_rows(name, params)
     if n < need:
         raise DefenseError(f"{name} needs n >= {need} rows (got n={n})")
     if name == "cosine_filter":
-        return cosine_threshold_filter(updates, cosines, params.lambda_)
+        if cosines is None:
+            raise DefenseError("cosine_filter has no direction to filter by: the reference has zero norm")
+        cosines = np.asarray(cosines, dtype=float)
+        tau = cosine_threshold(cosines, params.lambda_)
+        accepted = cosines >= tau
+        if not accepted.any():
+            raise DefenseError("no updates survive filter")
+        return AggregationReport(updates[accepted].mean(axis=0), accepted, tau)
     accepted = np.ones(n, bool)
     if name == "fedavg":
         agg = fedavg(updates, weights)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedpoison.defense import cosine
+from fedpoison.defense import cosine, cosine_threshold
 
 
 @dataclass
@@ -262,7 +262,7 @@ def lagrange_dual_search(
     floor (falling back to the last iterate if none did), its binarized
     adjacency, the mean of the benign rows synthesized in that adjacency's
     Laplacian basis and its reconstruction BCE; and the BCE of step 0 (the
-    encoder mean). The caller clips stealth_floor to [-1, 1]. A non-finite
+    encoder mean). craft_with_trace clips stealth_floor to [-1, 1]. A non-finite
     objective is a fault of the fit or the step size, named by its step.
     """
     mu0, _ = vgae_encode(params, g)
@@ -375,17 +375,20 @@ def craft_with_trace(
     benign_updates: np.ndarray,
     raw_poison: np.ndarray,
     reference: np.ndarray,
-    stealth_floor: float,
+    benign_cosines: np.ndarray,
+    lam: float,
     cfg: GrmpConfig,
     params: VgaeParams,
 ) -> tuple[np.ndarray, dict]:
     """Full pipeline: graph -> dual search -> spectral synthesis -> blend ->
-    stealth projection onto cosine(., reference) >= stealth_floor. Returns the
-    flat malicious delta plus a trace dict. A non-finite raw poison, from a
-    diverging distillation, is an error rather than a row."""
-    benign_updates = np.asarray(benign_updates, dtype=float)
+    stealth projection onto cosine(., reference) >= stealth floor. The floor
+    is the cosine filter's threshold over the benign rows' cosines to the
+    reference at the server's lam, plus cfg.stealth_margin, clipped to
+    [-1, 1]. Returns the flat malicious delta plus a trace dict. A non-finite
+    raw poison, from a diverging distillation, is an error rather than a row."""
     if not np.all(np.isfinite(raw_poison)):
         raise ValueError("raw_poison must be finite")
+    stealth_floor = float(np.clip(cosine_threshold(benign_cosines, lam) + cfg.stealth_margin, -1.0, 1.0))
     g = build_update_graph(benign_updates, cfg.tau_edge)
     lambda_dual, A_adv, syn_mean, recon_final, recon_initial = lagrange_dual_search(
         params, g, reference, stealth_floor, cfg.dual_steps, cfg.dual_step_size

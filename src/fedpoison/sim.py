@@ -317,10 +317,8 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     if exploit and cfg.attack == "grmp":
         benign_now = np.delete(updates, state.attacker_ids, axis=0)
         _fit_vgae_if_needed(state, benign_now)
-        # the attacker scores the benign rows as the server would and puts its
-        # stealth floor a margin above the threshold they set
+        # the attacker scores the benign rows as the server would
         reference, cosines = _score(state, benign_now)
-        floor = defense_mod.cosine_threshold(cosines, cfg.defense_params.lambda_) + cfg.grmp.stealth_margin
         # the poison direction: flipped-label training minus clean training
         # on the same rows and batch order, both copies in one lockstep pass
         labels = np.stack([state.y_att_flip, state.y_att])
@@ -328,12 +326,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
         flipped, clean = _local_delta(state, state.X_att, labels, cfg.grmp.poison_epochs, pseed)
         raw_poison = flipped - clean
         crafted, trace = grmp_mod.craft_with_trace(
-            benign_now,
-            raw_poison,
-            reference,
-            float(np.clip(floor, -1.0, 1.0)),
-            cfg.grmp,
-            state.vgae_params,
+            benign_now, raw_poison, reference, cosines, cfg.defense_params.lambda_, cfg.grmp, state.vgae_params
         )
         for i in state.attacker_ids:
             rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
@@ -345,12 +338,10 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     reference, per_client_cosine = _score(state, updates)
     # a round whose rule fails accepts no row and leaves the model as it was
     report = defense_mod.AggregationReport(None, np.zeros(cfg.n_clients, bool))
-    # a zero reference gives the cosine filter no direction to filter by
-    if cfg.defense != "cosine_filter" or np.linalg.norm(reference) != 0.0:
-        with contextlib.suppress(DefenseError):
-            report = defense_mod.apply_defense(
-                cfg.defense, updates, state.data.sizes, per_client_cosine, cfg.defense_params
-            )
+    # a zero reference has no cosines to filter by
+    cosines = per_client_cosine if np.linalg.norm(reference) != 0.0 else None
+    with contextlib.suppress(DefenseError):
+        report = defense_mod.apply_defense(cfg.defense, updates, state.data.sizes, cosines, cfg.defense_params)
     failed = report.aggregate is None
     if not failed:
         state.params = state.params + report.aggregate

@@ -27,6 +27,11 @@ def _cosines(updates, ref):
     return np.array([defense.cosine(u, ref) for u in updates])
 
 
+def _filter(u, cos, lam):
+    """The cosine filter on u, with unit weights, the given cosines and lambda."""
+    return defense.apply_defense("cosine_filter", u, np.ones(len(u)), cos, defense.DefenseParams(lambda_=lam))
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -313,7 +318,7 @@ def test_cosine_filter_threshold_formula():
     u = _updates(6, n=6)
     ref = np.ones(u.shape[1])
     scores = _cosines(u, ref)
-    rep = defense.cosine_threshold_filter(u, scores, lam=1.5)
+    rep = _filter(u, scores, lam=1.5)
     assert np.isclose(rep.threshold, scores.mean() - 1.5 * scores.std())
     assert np.array_equal(rep.accepted, scores >= rep.threshold)
     assert np.allclose(rep.aggregate, u[rep.accepted].mean(axis=0))
@@ -322,7 +327,7 @@ def test_cosine_filter_threshold_formula():
 def test_cosine_filter_rejects_opposed_update():
     ref = np.array([1.0, 0.0, 0.0])
     u = np.vstack([np.tile(ref, (5, 1)) + 0.01 * _updates(7, n=5, d=3), -10 * ref])
-    rep = defense.cosine_threshold_filter(u, _cosines(u, ref), lam=1.5)
+    rep = _filter(u, _cosines(u, ref), lam=1.5)
     assert not rep.accepted[-1]
     assert rep.accepted[:-1].all()
 
@@ -331,11 +336,11 @@ def test_cosine_filter_scale_invariant_scores():
     u = _updates(8, n=5)
     ref = np.ones(u.shape[1])
     c1 = _cosines(u, ref)
-    r1 = defense.cosine_threshold_filter(u, c1, 1.5)
+    r1 = _filter(u, c1, 1.5)
     u2 = u.copy()
     u2[2] *= 42.0
     c2 = _cosines(u2, ref)
-    r2 = defense.cosine_threshold_filter(u2, c2, 1.5)
+    r2 = _filter(u2, c2, 1.5)
     assert np.isclose(c1[2], c2[2])
     assert np.array_equal(r1.accepted, r2.accepted)
 
@@ -345,14 +350,17 @@ def test_cosine_filter_errors():
         _apply("cosine_filter", _updates(9, n=1))
     with pytest.raises(defense.DefenseError, match="no updates survive"):
         # a NaN cosine makes the threshold NaN, which no cosine clears
-        defense.cosine_threshold_filter(_updates(9, n=3), np.array([0.1, np.nan, 0.9]), 1.5)
+        _filter(_updates(9, n=3), np.array([0.1, np.nan, 0.9]), 1.5)
+    with pytest.raises(defense.DefenseError, match="reference has zero norm"):
+        # the server passes no cosines when its reference has zero norm
+        _filter(_updates(9, n=3), None, 1.5)
 
 
 def test_cosine_filter_accepts_equal_cosines_at_lambda_zero():
     # np.mean of three 0.1s rounds above 0.1; the threshold is clamped to it
     cos = np.full(3, 0.1)
     assert cos.mean() > 0.1
-    rep = defense.cosine_threshold_filter(_updates(11, n=3), cos, 0.0)
+    rep = _filter(_updates(11, n=3), cos, 0.0)
     assert rep.threshold == 0.1 and rep.accepted.all()
 
 
@@ -396,8 +404,8 @@ def test_cosine_threshold_twin_bound(n, data, a, lam, seed):
 def test_cosine_threshold_twin_bound_witness():
     # k = 2 zeros among n = 6: (n - k)/k = 2 lies between 1.4^2 and 1.5^2
     cos = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-    rejected = defense.cosine_threshold_filter(np.eye(6), cos, 1.4)
-    accepted = defense.cosine_threshold_filter(np.eye(6), cos, 1.5)
+    rejected = _filter(np.eye(6), cos, 1.4)
+    accepted = _filter(np.eye(6), cos, 1.5)
     assert not rejected.accepted[:2].any() and rejected.accepted[2:].all()
     assert accepted.accepted.all()
 
@@ -508,8 +516,7 @@ def test_apply_defense_scale_equivariant_property(name, extra, d, f, beta, m, la
     # rows scaled by c = 2^k: every distance, sort, mean and cosine moves by
     # c, c^2 or not at all, exactly, so a rule accepts the same rows, sets the
     # same threshold and returns c times its aggregate, bit for bit. Weiszfeld
-    # runs with gm_tol * c, but clamps a distance at an absolute 1e-12, so the
-    # geometric median lands within a few ulps of the rows' largest entry
+    # runs with gm_tol * c and clamps a distance relative to the rows' scale
     c = 2.0**k
     params = defense.DefenseParams(f=f, m=m, beta=beta, lambda_=lam)
     n = defense.min_rows(name, params) + extra
@@ -525,11 +532,7 @@ def test_apply_defense_scale_equivariant_property(name, extra, d, f, beta, m, la
     r2 = defense.apply_defense(name, c * u, w, _cosines(c * u, c * ref), scaled)
     assert np.array_equal(r1.accepted, r2.accepted)
     assert r1.threshold == r2.threshold
-    if name == "geometric_median":
-        ulp = np.spacing(c * np.abs(u).max())
-        assert np.allclose(r2.aggregate, c * r1.aggregate, rtol=0, atol=4 * ulp)
-    else:
-        assert r2.aggregate.tobytes() == (c * r1.aggregate).tobytes()
+    assert r2.aggregate.tobytes() == (c * r1.aggregate).tobytes()
 
 
 @pytest.mark.parametrize("name", defense.DEFENSES)
@@ -614,10 +617,12 @@ def krum_scores_allocating(updates, f):
 
 
 def geometric_median_allocating(updates, tol, max_iter):
-    """geometric_median as written before its distances got one reused buffer."""
+    """geometric_median as written before its distances got one reused buffer,
+    with its distance clamp relative to the rows' largest entry magnitude."""
+    floor = 1e-12 * (np.abs(updates).max() or 1.0)
     x = updates.mean(axis=0)
     for _ in range(max_iter):
-        w = 1.0 / np.maximum(np.linalg.norm(updates - x, axis=1), 1e-12)
+        w = 1.0 / np.maximum(np.linalg.norm(updates - x, axis=1), floor)
         x_new = w @ updates / w.sum()
         step = np.linalg.norm(x_new - x)
         x = x_new

@@ -615,6 +615,12 @@ def test_project_stealth_zero_reference_error():
 # ---------------------------------------------------------------------------
 # full craft
 
+def _floor_at(floor, cfg):
+    """Benign cosines and lambda whose threshold plus cfg.stealth_margin is floor:
+    at lambda 0 one cosine is its own threshold."""
+    return np.array([floor - cfg.stealth_margin]), 0.0
+
+
 def test_craft_postconditions_and_trace():
     rng = np.random.default_rng(7)
     benign = rng.standard_normal((5, 12))
@@ -624,7 +630,7 @@ def test_craft_postconditions_and_trace():
     cfg = grmp.GrmpConfig(dual_steps=30, vgae_epochs=40, hidden=6, latent=3)
     g = grmp.build_update_graph(benign, cfg.tau_edge)
     params = grmp.fit_vgae([g], cfg.hidden, cfg.latent, cfg.vgae_epochs, cfg.vgae_lr, 0)
-    final, trace = grmp.craft_with_trace(benign, poison, ref, floor, cfg, params)
+    final, trace = grmp.craft_with_trace(benign, poison, ref, *_floor_at(floor, cfg), cfg, params)
     assert final.shape == (12,)
     assert cosine(final, ref) >= floor - 1e-9
     assert np.linalg.norm(final) <= np.linalg.norm(benign, axis=1).max() + 1e-9
@@ -664,7 +670,7 @@ def test_craft_runs_each_stage_once(monkeypatch, floor, fallback):
                 adjacencies.add(out.tobytes())
             return out
         monkeypatch.setattr(grmp, name, spy)
-    grmp.craft_with_trace(benign, poison, ref, floor, cfg, params)
+    grmp.craft_with_trace(benign, poison, ref, *_floor_at(floor, cfg), cfg, params)
     per_step = cfg.dual_steps + fallback
     assert calls == {
         "vgae_encode": 1, "gsp_decompose": 1, "gsp_synthesize": len(adjacencies),
@@ -683,7 +689,7 @@ def test_craft_poison_direction_survives():
     cfg = grmp.GrmpConfig(gamma_blend=4.0, dual_steps=20, vgae_epochs=30, hidden=6, latent=3)
     g = grmp.build_update_graph(benign, cfg.tau_edge)
     params = grmp.fit_vgae([g], 6, 3, 30, cfg.vgae_lr, 0)
-    final, _ = grmp.craft_with_trace(benign, poison, ref, 0.1, cfg, params)
+    final, _ = grmp.craft_with_trace(benign, poison, ref, *_floor_at(0.1, cfg), cfg, params)
     assert final @ poison > 0
 
 
@@ -692,5 +698,23 @@ def test_craft_rejects_nonfinite_poison():
     cfg = grmp.GrmpConfig()
     with pytest.raises(ValueError):
         grmp.craft_with_trace(benign, np.array([np.nan] * 6), benign.mean(axis=0),
-                              0.3, cfg, _params(0))
+                              *_floor_at(0.3, cfg), cfg, _params(0))
+
+
+@pytest.mark.parametrize("cos, margin, floor", [(0.9, 0.5, 1.0), (-0.9, -0.5, -1.0)])
+def test_craft_clips_its_floor_to_the_cosine_range(monkeypatch, cos, margin, floor):
+    # a threshold plus margin outside [-1, 1] reaches the search and the
+    # projection as the nearest end of the range, exactly
+    rng = np.random.default_rng(10)
+    benign = rng.standard_normal((4, 6))
+    cfg = grmp.GrmpConfig(stealth_margin=margin, dual_steps=5)
+    floors = []
+    # the floor is lagrange_dual_search's fourth argument and project_stealth's third
+    for name, at in (("lagrange_dual_search", 3), ("project_stealth", 2)):
+        def spy(*args, _real=getattr(grmp, name), _at=at):
+            floors.append(args[_at])
+            return _real(*args)
+        monkeypatch.setattr(grmp, name, spy)
+    grmp.craft_with_trace(benign, rng.standard_normal(6), benign.mean(axis=0), np.array([cos]), 0.0, cfg, _params(0))
+    assert floors == [floor, floor]
 

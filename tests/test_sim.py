@@ -310,8 +310,8 @@ def test_attacker_floor_is_the_servers_rule_over_the_benign_rows(monkeypatch, sw
     # that reads another lambda or leaves out the margin misses the oracle
     cfg = tiny_cfg(attack="grmp", rounds=3, phase_switch_round=switch)
     cfg.defense_params.lambda_, cfg.grmp.stealth_margin = 0.7, 0.04
-    submitted, aggregates, crafts = [], [], []
-    real_defense, real_craft = defense.apply_defense, grmp.craft_with_trace
+    submitted, aggregates, crafts, floors = [], [], [], []
+    real_defense, real_craft, real_project = defense.apply_defense, grmp.craft_with_trace, grmp.project_stealth
 
     def spy_defense(name, updates, *args):
         report = real_defense(name, updates, *args)
@@ -319,19 +319,25 @@ def test_attacker_floor_is_the_servers_rule_over_the_benign_rows(monkeypatch, sw
         aggregates.append(report.aggregate.copy())
         return report
 
-    def spy_craft(benign_updates, raw_poison, reference, stealth_floor, *args):
-        crafts.append((len(aggregates), benign_updates.copy(), reference.copy(), stealth_floor))
-        return real_craft(benign_updates, raw_poison, reference, stealth_floor, *args)
+    def spy_craft(benign_updates, raw_poison, reference, *args):
+        crafts.append((len(aggregates), benign_updates.copy(), reference.copy()))
+        return real_craft(benign_updates, raw_poison, reference, *args)
+
+    def spy_project(v, reference, stealth_floor, norm_cap):
+        floors.append(stealth_floor)
+        return real_project(v, reference, stealth_floor, norm_cap)
 
     monkeypatch.setattr(defense, "apply_defense", spy_defense)
     monkeypatch.setattr(grmp, "craft_with_trace", spy_craft)
+    monkeypatch.setattr(grmp, "project_stealth", spy_project)
     sim.run_experiment(cfg)
     # every round aggregated, and each exploit round crafted once
     assert len(aggregates) == cfg.rounds
     assert [done + 1 for done, *_ in crafts] == list(range(switch, cfg.rounds + 1))
+    assert len(floors) == len(crafts)
     benign_ids = [i for i in range(cfg.n_clients) if i not in sim._RunState(cfg).attacker_ids]
     lam, margin = cfg.defense_params.lambda_, cfg.grmp.stealth_margin
-    for done, benign, reference, floor in crafts:
+    for (done, benign, reference), floor in zip(crafts, floors):
         assert benign.tobytes() == submitted[done][benign_ids].tobytes()
         # the server's reference: the previous round's aggregate, else the mean
         want = aggregates[done - 1] if done else benign.mean(axis=0)
