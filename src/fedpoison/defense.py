@@ -31,6 +31,13 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+def score(updates: np.ndarray, prev_aggregate: Optional[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+    """The server's reference direction over `updates`, the previous round's
+    aggregate or else the rows' mean, and each row's cosine to it."""
+    reference = prev_aggregate if prev_aggregate is not None else updates.mean(axis=0)
+    return reference, [cosine(u, reference) for u in updates]
+
+
 def fedavg(updates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or weights.sum() <= 0:

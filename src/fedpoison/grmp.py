@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedpoison.defense import cosine, cosine_threshold
+from fedpoison import model
+from fedpoison.defense import cosine, cosine_threshold, score
 
 
 @dataclass
@@ -348,8 +349,8 @@ def project_stealth(
     If the cosine floor is violated, add the smallest alpha >= 0 multiple of
     the reference that reaches it (closed form from the parallel/orthogonal
     split); norm violations are fixed by uniform rescaling, which preserves
-    the cosine. A zero reference has no direction to project toward, and a
-    valid run reaches one: at lr = 0 every benign row, and so their mean, is 0.
+    the cosine. A zero reference has no direction to project toward. validate
+    rejects lr = 0 under grmp, so a run reaches one only by rows that cancel.
     """
     r_norm = np.linalg.norm(reference)
     if r_norm == 0:
@@ -405,3 +406,45 @@ def craft_with_trace(
     }
     return final, trace
 
+
+class Adversary:
+    """A run's grmp attackers, the one place their rows are made, for its
+    ExperimentConfig `cfg` and (X, clean y, flipped y) per client. The poison
+    distillation trains on their pooled rows, both label sets in lockstep."""
+
+    def __init__(self, cfg, clients, attacker_ids: list[int]):
+        self.cfg, self.attacker_ids = cfg, attacker_ids
+        Xs, ys, ys_flipped = zip(*(clients[i] for i in attacker_ids))
+        cols, vals = np.concatenate([X.cols for X in Xs]), np.concatenate([X.vals for X in Xs])
+        self.X = model.SparseRows(cols, vals, Xs[0].dim)
+        self.labels = np.stack([np.concatenate(ys_flipped), np.concatenate(ys)])
+        self.vgae: VgaeParams | None = None
+
+    def submit(self, round_idx: int, params, prev_aggregate, benign, history) -> tuple[np.ndarray, dict]:
+        """The attackers' rows for round `round_idx`, in attacker_ids order, and
+        the craft's trace, from a view that it does not write: the global params,
+        the previous aggregate (None before the first), this round's benign rows
+        and those of each round before the switch, which the VGAE is fit on."""
+        cfg, g = self.cfg, self.cfg.grmp
+        if self.vgae is None:
+            graphs = [build_update_graph(m, g.tau_edge) for m in history or [benign]]
+            vseed = model.child_seed(cfg.seed, "vgae")
+            self.vgae = fit_vgae(graphs, g.hidden, g.latent, g.vgae_epochs, g.vgae_lr, vseed)
+        # the attacker scores the benign rows as the server would
+        reference, cosines = score(benign, prev_aggregate)
+        # the poison direction: flipped-label training minus clean training
+        # on the same rows and batch order
+        pseed = model.child_seed(cfg.seed, "poison", round_idx)
+        flipped, clean = model.local_train(
+            params, self.X, self.labels, g.poison_epochs, cfg.lr, cfg.batch_size, pseed, cfg.weight_decay
+        )
+        crafted, trace = craft_with_trace(
+            benign, flipped - clean, reference, cosines, cfg.defense_params.lambda_, g, self.vgae
+        )
+        rows = []
+        for i in self.attacker_ids:
+            rng = np.random.default_rng(model.child_seed(cfg.seed, "noise", round_idx, i))
+            noise = rng.standard_normal(crafted.size)
+            noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
+            rows.append(crafted + noise)
+        return np.stack(rows), trace

@@ -9,6 +9,7 @@ weights. Config values arrive checked by `ExperimentConfig.validate`.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,12 @@ class SparseRows:
         X = np.zeros((len(self), self.dim))
         X[np.arange(len(self))[:, None], self.cols] = self.vals
         return X
+
+
+def child_seed(seed: int, *tags) -> int:
+    """Stable derived seed for a named stream (crc32, not randomized hash())."""
+    ent = [seed] + [zlib.crc32(str(t).encode()) for t in tags]
+    return int(np.random.SeedSequence(ent).generate_state(1)[0])
 
 
 def init_params(hash_dim: int, class_count: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Federated round loop with pluggable defenses and a two-phase attacker.
 
-Rounds are a strict barrier: every client submits a delta, the server applies
-the configured defense, and the surviving aggregate is added to the global
-model. Attackers behave exactly like benign clients during the stealth phase
-and switch to their attack behavior at phase_switch_round.
+Rounds are a barrier: every client submits a delta, the server applies the
+configured defense, and the surviving aggregate is added to the global model
+before the next round. Within a round the grmp adversary sees the benign rows
+before it submits (`grmp.Adversary.submit`). Attackers behave exactly like
+benign clients during the stealth phase and switch to their attack behavior
+at phase_switch_round.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 import json
 import math
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,7 +71,7 @@ class ExperimentConfig:
             if data_mod.tokenize(t) != (t,):
                 raise ValueError(f"data.triggers: {t!r} is not a token (tokenizes to {data_mod.tokenize(t)})")
         d, p, g, n = self.data, self.defense_params, self.grmp, self.n_clients
-        agnews = d.source == "agnews"
+        agnews, crafting = d.source == "agnews", self.attack == "grmp" and self.n_attackers >= 1
         # written so that a NaN fails too
         for key, ok, want in (
             # a seed is one 32-bit word of every stream's entropy
@@ -79,7 +80,9 @@ class ExperimentConfig:
             ("n_attackers", self.n_attackers >= 0, ">= 0"),
             ("local_epochs", self.local_epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("lr", math.isfinite(self.lr), "finite"),
+            ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
+            # at lr = 0 every benign row is zero, so grmp has no direction to craft toward
+            ("lr", self.lr > 0 or not crafting, "> 0 under attack = grmp with n_attackers >= 1"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
             ("grmp.tau_edge", math.isfinite(g.tau_edge), "finite"),
             ("grmp.stealth_margin", math.isfinite(g.stealth_margin), "finite"),
@@ -110,7 +113,7 @@ class ExperimentConfig:
         if self.n_attackers >= n:
             raise ValueError("n_attackers must be < n_clients")
         # grmp builds its update graph from the benign rows
-        if self.attack == "grmp" and self.n_attackers >= 1 and n - self.n_attackers < 2:
+        if crafting and n - self.n_attackers < 2:
             raise ValueError(
                 f"grmp needs n_clients - n_attackers >= 2 (got n_clients={n}, n_attackers={self.n_attackers})"
             )
@@ -153,12 +156,6 @@ class ExperimentResult:
     attack_trace: list[dict]
 
 
-def _child_seed(seed: int, *tags) -> int:
-    """Stable derived seed for a named stream (crc32, not randomized hash())."""
-    ent = [seed] + [zlib.crc32(str(t).encode()) for t in tags]
-    return int(np.random.SeedSequence(ent).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class _RunData:
     """A run's inputs, a pure function of the data config (and the AG News
@@ -193,17 +190,17 @@ def _build_run_data(cfg: ExperimentConfig) -> _RunData:
     if dc.source == "agnews":
         corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
     else:
-        corpus = data_mod.synth_corpus(dc, _child_seed(cfg.seed, "corpus"))
+        corpus = data_mod.synth_corpus(dc, model_mod.child_seed(cfg.seed, "corpus"))
     asr = data_mod.target_mask(corpus.test, dc.triggers, dc.src_class)
     if not asr.any():
         raise ValueError(
             f"ASR subset empty: no test example of class {dc.src_class} holds a trigger ({', '.join(dc.triggers)})"
         )
-    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, _child_seed(cfg.seed, "partition"))
+    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, model_mod.child_seed(cfg.seed, "partition"))
     # each split is featurized once: a row does not depend on the rows beside
     # it, so a client's features are its rows of the train split's, and the
     # ASR features are rows of the test split's
-    fseed = _child_seed(cfg.seed, "hash")
+    fseed = model_mod.child_seed(cfg.seed, "hash")
     S_train, y_train = data_mod.featurize_all(corpus.train, dc.hash_dim, fseed)
     S_test, y_test = data_mod.featurize_all(corpus.test, dc.hash_dim, fseed)
     # flipping changes labels only, so each client keeps one feature matrix
@@ -244,7 +241,6 @@ class _RunState:
         # the benign rows of each round before the switch, which the VGAE is
         # fit on: recorded by run_experiment, or taken from the prefix slot
         self.history: list[np.ndarray] = []
-        self.vgae_params: Optional[grmp_mod.VgaeParams] = None
         self.attack_trace: list[dict] = []
         # the round's submissions, one row per client; reused by every round,
         # so its pages fault in once
@@ -255,54 +251,13 @@ class _RunState:
         flippable = [int(np.sum(y != y_flip)) for _, y, y_flip in data.clients]
         order = sorted(range(cfg.n_clients), key=lambda i: (flippable[i], i), reverse=True)
         self.attacker_ids = sorted(order[: cfg.n_attackers])
-        # the grmp adversary's pooled local data, clean and flipped, which
-        # its poison distillation trains on; every client's rows share the
-        # train split's width, so the pool stacks them as they are
-        if cfg.attack == "grmp" and cfg.n_attackers > 0:
-            Xs, ys, ys_flipped = zip(*(data.clients[i] for i in self.attacker_ids))
-            self.X_att = model_mod.SparseRows(
-                np.concatenate([X.cols for X in Xs]), np.concatenate([X.vals for X in Xs]), cfg.data.hash_dim
-            )
-            self.y_att, self.y_att_flip = np.concatenate(ys), np.concatenate(ys_flipped)
-
-
-def _local_delta(state: _RunState, X, y, epochs: int, seed: int) -> np.ndarray:
-    cfg = state.cfg
-    return model_mod.local_train(state.params, X, y, epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay)
-
-
-def _score(state: _RunState, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """The server's reference direction over `rows`, the previous round's
-    aggregate or else the rows' mean, and each row's cosine to it."""
-    reference = state.prev_aggregate if state.prev_aggregate is not None else rows.mean(axis=0)
-    return reference, [defense_mod.cosine(u, reference) for u in rows]
-
-
-def _fit_vgae_if_needed(state: _RunState, benign_now: np.ndarray) -> None:
-    """Fit the VGAE once, on the benign updates of every earlier round, or on
-    this round's when the attack starts in round 1."""
-    if state.vgae_params is not None:
-        return
-    cfg = state.cfg
-    mats = state.history or [benign_now]
-    graphs = [grmp_mod.build_update_graph(m, cfg.grmp.tau_edge) for m in mats]
-    state.vgae_params = grmp_mod.fit_vgae(
-        graphs,
-        cfg.grmp.hidden,
-        cfg.grmp.latent,
-        cfg.grmp.vgae_epochs,
-        cfg.grmp.vgae_lr,
-        _child_seed(cfg.seed, "vgae"),
-    )
+        grmp_run = cfg.attack == "grmp" and cfg.n_attackers > 0
+        self.adversary = grmp_mod.Adversary(cfg, data.clients, self.attacker_ids) if grmp_run else None
 
 
 def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     cfg = state.cfg
-    exploit = (
-        cfg.attack != "none"
-        and cfg.n_attackers > 0
-        and round_idx >= cfg.phase_switch_round
-    )
+    exploit = cfg.attack != "none" and cfg.n_attackers > 0 and round_idx >= cfg.phase_switch_round
     # each client writes its row: in an exploit round a naive_flip attacker
     # trains on its flipped labels and a grmp attacker's row is crafted below
     updates = state.updates
@@ -311,31 +266,19 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
             if cfg.attack == "grmp":
                 continue
             y = y_flipped
-        seed = _child_seed(cfg.seed, "train", round_idx, i)
-        updates[i] = _local_delta(state, X, y, cfg.local_epochs, seed)
+        seed = model_mod.child_seed(cfg.seed, "train", round_idx, i)
+        updates[i] = model_mod.local_train(
+            state.params, X, y, cfg.local_epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
+        )
 
     if exploit and cfg.attack == "grmp":
-        benign_now = np.delete(updates, state.attacker_ids, axis=0)
-        _fit_vgae_if_needed(state, benign_now)
-        # the attacker scores the benign rows as the server would
-        reference, cosines = _score(state, benign_now)
-        # the poison direction: flipped-label training minus clean training
-        # on the same rows and batch order, both copies in one lockstep pass
-        labels = np.stack([state.y_att_flip, state.y_att])
-        pseed = _child_seed(cfg.seed, "poison", round_idx)
-        flipped, clean = _local_delta(state, state.X_att, labels, cfg.grmp.poison_epochs, pseed)
-        raw_poison = flipped - clean
-        crafted, trace = grmp_mod.craft_with_trace(
-            benign_now, raw_poison, reference, cosines, cfg.defense_params.lambda_, cfg.grmp, state.vgae_params
+        benign = np.delete(updates, state.attacker_ids, axis=0)
+        updates[state.attacker_ids], trace = state.adversary.submit(
+            round_idx, state.params, state.prev_aggregate, benign, state.history
         )
-        for i in state.attacker_ids:
-            rng = np.random.default_rng(_child_seed(cfg.seed, "noise", round_idx, i))
-            noise = rng.standard_normal(crafted.size)
-            noise *= 1e-3 * np.linalg.norm(crafted) / max(np.linalg.norm(noise), 1e-300)
-            updates[i] = crafted + noise
         state.attack_trace.append({"round": round_idx, **trace})
 
-    reference, per_client_cosine = _score(state, updates)
+    reference, per_client_cosine = defense_mod.score(updates, state.prev_aggregate)
     # a round whose rule fails accepts no row and leaves the model as it was
     report = defense_mod.AggregationReport(None, np.zeros(cfg.n_clients, bool))
     # a zero reference has no cosines to filter by

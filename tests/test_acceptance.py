@@ -324,7 +324,7 @@ def test_criterion_7_norm_outlier_contained():
         deltas = np.stack([
             model.local_train(
                 state.params, X, y, cfg.local_epochs,
-                cfg.lr, cfg.batch_size, sim._child_seed(seed, "train", 1, i),
+                cfg.lr, cfg.batch_size, model.child_seed(seed, "train", 1, i),
             )
             for i, (X, y, _) in enumerate(state.data.clients)
         ])

@@ -153,6 +153,8 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("n_clients = 0\n", "n_clients must be >= 1"),
         ("batch_size = 0\n", "batch_size must be >= 1"),
         ("lr = nan\n", "lr must be finite"),
+        ("lr = -0.5\n", "lr must be finite and >= 0"),
+        ("attack = grmp\nlr = 0\n", "lr must be > 0 under attack = grmp with n_attackers >= 1"),
         ("weight_decay = nan\n", "weight_decay must be finite and >= 0"),
         ("grmp.poison_epochs = 0\n", "grmp.poison_epochs must be >= 1"),
         ("grmp.vgae_epochs = -1\n", "grmp.vgae_epochs must be >= 0"),
@@ -231,12 +233,15 @@ def test_agnews_train_smaller_than_the_cohort_exit_code_2(tmp_path, capsys):
     assert "error: n_clients=6 exceeds train size 3" in capsys.readouterr().err
 
 
-def test_grmp_zero_reference_exit_code_2(tmp_path, capsys):
+def test_grmp_zero_lr_exit_code_1(tmp_path, capsys):
     # at lr = 0 no round moves the model, so the benign rows grmp scores at the
-    # switch, and their mean, are zero: a valid config with no direction to project on
+    # switch, and their mean, are zero: no direction to project on, caught
+    # before round one rather than at the switch
     cfg_path = _write_tiny(tmp_path, "attack = grmp\nlr = 0\nrounds = 12\nphase_switch_round = 11\n")
-    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    assert "error: round 11 failed: reference direction has zero norm" in capsys.readouterr().err
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "lr must be > 0 under attack = grmp with n_attackers >= 1" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_scenario_exit_code_1(tmp_path, capsys):

@@ -271,13 +271,34 @@ def test_trimmed_mean_needs_enough_rows():
         _apply("trimmed_mean", _updates(0, n=4), beta=2)
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+@given(st.integers(min_value=0, max_value=10_000), st.data())
 @settings(max_examples=30, deadline=None)
-def test_trim_and_median_bounded_by_inputs(seed):
+def test_trim_and_median_bounded_by_inputs(seed, data):
     u = _updates(seed, n=6, d=5)
     lo, hi = u.min(axis=0), u.max(axis=0)
     for out in (defense.trimmed_mean(u, 1), _apply("coord_median", u).aggregate):
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
+    # k arbitrary finite hostile rows among n, at any places: the benign rows'
+    # per-coordinate range bounds the median while k < n/2, and a trim of
+    # beta >= k rows from each end
+    n = data.draw(st.integers(1, 9), label="n")
+    beta = data.draw(st.integers(0, (n - 1) // 2), label="beta")
+    k = data.draw(st.integers(0, beta), label="k")
+    d = 5
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k * d, max_size=k * d))
+    benign = _updates(seed, n=n - k, d=d)
+    order = data.draw(st.permutations(range(n)), label="order")
+    rows = np.concatenate([benign, np.array(values).reshape(k, d)])[order]
+    lo, hi = benign.min(axis=0), benign.max(axis=0)
+    # the median is a kept value, or the halved sum of two, which rounds
+    # within them: exactly in range
+    med = _apply("coord_median", rows).aggregate
+    assert (med >= lo).all() and (med <= hi).all()
+    # the trimmed mean sums m = n - 2 beta values in range and divides by m:
+    # it errs by under m ulps of the larger of |lo| and |hi|, so n ulps bound it
+    tol = n * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    trim = _apply("trimmed_mean", rows, beta=beta).aggregate
+    assert (trim >= lo - tol).all() and (trim <= hi + tol).all()
 
 
 # ---------------------------------------------------------------------------

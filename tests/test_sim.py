@@ -63,6 +63,7 @@ def test_config_validate_errors(tmp_path):
         ("batch_size", 0, "batch_size must be >= 1"),
         ("lr", float("nan"), "lr must be finite"),
         ("lr", float("inf"), "lr must be finite"),
+        ("lr", -0.5, "lr must be finite and >= 0"),
         ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
         ("weight_decay", -0.1, "weight_decay must be finite and >= 0"),
         ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
@@ -119,6 +120,12 @@ def test_config_validate_errors(tmp_path):
         tiny_cfg(attack="grmp", n_clients=3, n_attackers=2).validate()
     tiny_cfg(attack="grmp", n_clients=4, n_attackers=2).validate()
     tiny_cfg(attack="grmp", n_clients=1, n_attackers=0, defense="fedavg").validate()
+    # at lr = 0 every benign row is zero, so grmp would have no direction to
+    # craft toward; a run with no crafting attacker may still train nothing
+    with pytest.raises(ValueError, match="lr must be > 0 under attack = grmp with n_attackers >= 1"):
+        tiny_cfg(attack="grmp", lr=0.0).validate()
+    for attack, n_attackers in [("grmp", 0), ("naive_flip", 2), ("none", 2)]:
+        tiny_cfg(attack=attack, n_attackers=n_attackers, lr=0.0).validate()
     # the VGAE widths are checked only when grmp runs: a clean run may have
     # updates narrower than grmp.hidden (4 < 8)
     cfg = tiny_cfg()
@@ -347,6 +354,41 @@ def test_attacker_floor_is_the_servers_rule_over_the_benign_rows(monkeypatch, sw
 
 
 # ---------------------------------------------------------------------------
+# the grmp adversary's one entry point
+
+def test_adversary_rows_are_a_function_of_the_view_alone(monkeypatch):
+    # a run whose attack starts in round 3, so the view holds two stealth rounds
+    cfg = tiny_cfg(attack="grmp", rounds=3, phase_switch_round=3)
+    submitted, aggregates = [], []
+    real = defense.apply_defense
+
+    def spy(name, updates, *args):
+        report = real(name, updates, *args)
+        submitted.append(updates.copy())
+        aggregates.append(report.aggregate.copy())
+        return report
+
+    monkeypatch.setattr(defense, "apply_defense", spy)
+    res = sim.run_experiment(cfg)
+    state = sim._RunState(cfg)
+    ids = state.attacker_ids
+    # the view round 3 presented, rebuilt from what the server saw: the global
+    # params are the zero init plus each aggregate, summed as the round loop does
+    params = state.params
+    for agg in aggregates[:2]:
+        params = params + agg
+    benign = [np.delete(u, ids, axis=0) for u in submitted]
+    view = (params, aggregates[1], benign[2], benign[:2])
+    for a in (params, aggregates[1], *benign):
+        a.flags.writeable = False  # a write raises
+    rows, trace = grmp.Adversary(cfg, state.data.clients, ids).submit(3, *view)
+    again, trace_again = grmp.Adversary(cfg, state.data.clients, ids).submit(3, *view)
+    assert rows.tobytes() == again.tobytes() and trace == trace_again
+    assert rows.tobytes() == submitted[2][ids].tobytes()
+    assert res.attack_trace == [{"round": 3, **trace}]
+
+
+# ---------------------------------------------------------------------------
 # aggregation identity
 
 def test_round_one_fedavg_matches_manual_reconstruction():
@@ -357,7 +399,7 @@ def test_round_one_fedavg_matches_manual_reconstruction():
         deltas = np.stack([
             model.local_train(
                 np.zeros_like(state.params), X, y, cfg.local_epochs, cfg.lr, cfg.batch_size,
-                sim._child_seed(cfg.seed, "train", 1, i), weight_decay,
+                model.child_seed(cfg.seed, "train", 1, i), weight_decay,
             )
             for i, (X, y, _) in enumerate(state.data.clients)
         ])
@@ -492,15 +534,16 @@ def test_cached_arrays_are_read_only(builds):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
-    # the attackers' pooled arrays are the run's own copies
-    for a in (state.X_att.cols, state.X_att.vals, state.y_att, state.y_att_flip):
+    # the adversary's pooled arrays are the run's own copies
+    adv = state.adversary
+    for a in (adv.X.cols, adv.X.vals, adv.labels):
         assert a.flags.writeable
         assert not any(np.shares_memory(a, b) for b in arrays)
 
 
 @pytest.mark.parametrize("attack", ["none", "naive_flip"])
 def test_attacker_pool_only_under_grmp(attack):
-    assert not hasattr(sim._RunState(tiny_cfg(attack=attack)), "X_att")
+    assert sim._RunState(tiny_cfg(attack=attack)).adversary is None
 
 
 def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
@@ -534,9 +577,9 @@ def per_client_oracle(cfg):
     if dc.source == "agnews":
         corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
     else:
-        corpus = data_mod.synth_corpus(dc, sim._child_seed(cfg.seed, "corpus"))
-    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, sim._child_seed(cfg.seed, "partition"))
-    fseed = sim._child_seed(cfg.seed, "hash")
+        corpus = data_mod.synth_corpus(dc, model.child_seed(cfg.seed, "corpus"))
+    parts = data_mod.partition_noniid(corpus, cfg.n_clients, dc.alpha, model.child_seed(cfg.seed, "partition"))
+    fseed = model.child_seed(cfg.seed, "hash")
     clients = []
     for idx in parts:
         part = [corpus.train[i] for i in idx]
@@ -583,12 +626,14 @@ def test_run_data_equals_the_per_client_path(tmp_path, case):
         _assert_labels(y, want_y)
         _assert_labels(y_flipped, want_flipped)
     assert d.X_asr.tobytes() == X_asr.tobytes()
-    # the grmp pool: the attackers' rows and labels in client order
+    # the grmp pool: the attackers' rows and labels in client order, the
+    # flipped labels first
     pool = [clients[i] for i in state.attacker_ids]
-    _assert_rows(state.X_att, np.concatenate([X for X, _, _ in pool]))
-    _assert_labels(state.y_att, np.concatenate([y for _, y, _ in pool]))
-    _assert_labels(state.y_att_flip, np.concatenate([y for _, _, y in pool]))
-    assert (state.y_att != state.y_att_flip).any()
+    adv = state.adversary
+    _assert_rows(adv.X, np.concatenate([X for X, _, _ in pool]))
+    _assert_labels(adv.labels[1], np.concatenate([y for _, y, _ in pool]))
+    _assert_labels(adv.labels[0], np.concatenate([y for _, _, y in pool]))
+    assert (adv.labels[1] != adv.labels[0]).any()
 
 
 def test_asr_subset_empty_error():
@@ -837,11 +882,11 @@ def test_non_finite_aggregate_fails_the_round(monkeypatch):
 # seed derivation
 
 def test_child_seed_stable_and_tag_sensitive():
-    a = sim._child_seed(42, "train", 3, 1)
-    assert a == sim._child_seed(42, "train", 3, 1)
-    assert a != sim._child_seed(42, "train", 3, 2)
-    assert a != sim._child_seed(43, "train", 3, 1)
-    assert a != sim._child_seed(42, "poison", 3, 1)
+    a = model.child_seed(42, "train", 3, 1)
+    assert a == model.child_seed(42, "train", 3, 1)
+    assert a != model.child_seed(42, "train", 3, 2)
+    assert a != model.child_seed(43, "train", 3, 1)
+    assert a != model.child_seed(42, "poison", 3, 1)
 
 
 # ---------------------------------------------------------------------------
