@@ -26,16 +26,15 @@ class ConfigError(Exception):
     pass
 
 
+# the desk's grmp run, which the two grmp_vs_* scenarios put against a rule
+_DESK_GRMP = {"attack": "grmp", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
+
 # scenario -> {output subdirectory: config overrides}; "" writes into --out itself
 SCENARIOS = {
     "baseline_clean": {"": {"attack": "none"}},
     "naive_vs_each_defense": {d: {"attack": "naive_flip", "defense": d} for d in defense.DEFENSES},
-    "grmp_vs_cosine": {
-        "": {"attack": "grmp", "defense": "cosine_filter", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
-    },
-    "grmp_vs_krum": {
-        "": {"attack": "grmp", "defense": "krum", "defense.f": "2", "data.alpha": "0.8", "grmp.gamma_blend": "2.0"}
-    },
+    "grmp_vs_cosine": {"": {**_DESK_GRMP, "defense": "cosine_filter"}},
+    "grmp_vs_krum": {"": {**_DESK_GRMP, "defense": "krum", "defense.f": "2"}},
     "sweep_lambda": {
         f"lambda_{v}": {"attack": "grmp", "defense": "cosine_filter", "defense.lambda": str(v)}
         for v in (0.5, 1.0, 1.5, 2.0)

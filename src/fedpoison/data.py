@@ -44,7 +44,6 @@ class Corpus:
 
 @dataclass
 class DataConfig:
-    source: str = "synth"  # "synth" or "agnews"
     train_per_class: int = 500
     test_per_class: int = 62
     vocab_per_class: int = 30
@@ -56,6 +55,11 @@ class DataConfig:
     dst_class: int = 1  # sports
     agnews_train: str = ""
     agnews_test: str = ""
+
+    @property
+    def agnews(self) -> bool:
+        """A run reads AG News when either path is set, else the synthetic corpus."""
+        return bool(self.agnews_train or self.agnews_test)
 
 
 def tokenize(text: str) -> tuple[str, ...]:

@@ -125,9 +125,7 @@ def trimmed_mean(updates: np.ndarray, beta: int) -> np.ndarray:
     return s[beta : n - beta].mean(axis=0)
 
 
-def geometric_median(
-    updates: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-) -> np.ndarray:
+def geometric_median(updates: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
     """Weiszfeld iteration from the coordinate mean, until a step is shorter
     than tol or after max_iter steps (Pillutla et al., RFA).
 
@@ -175,7 +173,6 @@ class DefenseParams:
     beta: int = 1
     lambda_: float = 1.5
     gm_tol: float = 1e-8
-    gm_max_iter: int = 200
 
 
 def min_rows(name: str, params: DefenseParams) -> int:
@@ -230,7 +227,7 @@ def apply_defense(
     elif name == "coord_median":
         agg = np.median(updates, axis=0)
     elif name == "geometric_median":
-        agg = geometric_median(updates, params.gm_tol, params.gm_max_iter)
+        agg = geometric_median(updates, params.gm_tol)
     else:
         raise DefenseError(f"unknown defense {name!r}")
     return AggregationReport(agg, accepted)

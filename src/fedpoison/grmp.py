@@ -436,7 +436,7 @@ class Adversary:
         # on the same rows and batch order
         pseed = model.child_seed(cfg.seed, "poison", round_idx)
         flipped, clean = model.local_train(
-            params, self.X, self.labels, g.poison_epochs, cfg.lr, cfg.batch_size, pseed, cfg.weight_decay
+            params, self.X, self.labels, g.poison_epochs, cfg.lr, cfg.batch_size, pseed
         )
         crafted, trace = craft_with_trace(
             benign, flipped - clean, reference, cosines, cfg.defense_params.lambda_, g, self.vgae

@@ -84,7 +84,6 @@ def local_train(
     lr: float,
     batch_size: int,
     seed: int,
-    weight_decay: float = 0.0,
 ) -> np.ndarray:
     """Mini-batch SGD from a copy of global_params; returns trained - global.
 
@@ -135,8 +134,6 @@ def local_train(
                 G /= m
             else:
                 G *= 1.0 / m
-            if weight_decay:
-                G += weight_decay * W
             G *= lr
             W -= G
     delta = W.reshape(k, -1) - global_params

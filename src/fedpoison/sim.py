@@ -40,7 +40,6 @@ class ExperimentConfig:
     local_epochs: int = 2
     lr: float = 0.5
     batch_size: int = 32
-    weight_decay: float = 0.0
     defense: str = "cosine_filter"
     attack: str = "none"
     phase_switch_round: int = 11
@@ -71,7 +70,8 @@ class ExperimentConfig:
             if data_mod.tokenize(t) != (t,):
                 raise ValueError(f"data.triggers: {t!r} is not a token (tokenizes to {data_mod.tokenize(t)})")
         d, p, g, n = self.data, self.defense_params, self.grmp, self.n_clients
-        agnews, crafting = d.source == "agnews", self.attack == "grmp" and self.n_attackers >= 1
+        crafting = self.attack == "grmp" and self.n_attackers >= 1
+        on_agnews = "an existing file when either AG News path is set"
         # written so that a NaN fails too
         for key, ok, want in (
             # a seed is one 32-bit word of every stream's entropy
@@ -83,7 +83,6 @@ class ExperimentConfig:
             ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
             # at lr = 0 every benign row is zero, so grmp has no direction to craft toward
             ("lr", self.lr > 0 or not crafting, "> 0 under attack = grmp with n_attackers >= 1"),
-            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
             ("grmp.tau_edge", math.isfinite(g.tau_edge), "finite"),
             ("grmp.stealth_margin", math.isfinite(g.stealth_margin), "finite"),
             ("grmp.gamma_blend", math.isfinite(g.gamma_blend), "finite"),
@@ -92,21 +91,19 @@ class ExperimentConfig:
             ("grmp.dual_step_size", math.isfinite(g.dual_step_size), "finite"),
             ("grmp.vgae_epochs", g.vgae_epochs >= 0, ">= 0"),
             ("grmp.vgae_lr", math.isfinite(g.vgae_lr), "finite"),
-            ("data.source", d.source in ("synth", "agnews"), "'synth' or 'agnews'"),
             ("data.hash_dim", d.hash_dim >= 1 and not d.hash_dim & (d.hash_dim - 1), "a power of two"),
             ("data.alpha", 0 < d.alpha < math.inf, "> 0 and finite"),
-            ("data.trigger_rate", d.source != "synth" or 0 < d.trigger_rate <= 1, "in (0, 1] on synth data"),
+            ("data.trigger_rate", d.agnews or 0 < d.trigger_rate <= 1, "in (0, 1] on synth data"),
             ("data.train_per_class", d.train_per_class >= 1, ">= 1"),
             ("data.test_per_class", d.test_per_class >= 1, ">= 1"),
             ("data.vocab_per_class", d.vocab_per_class >= 1, ">= 1"),
-            ("data.agnews_train", not agnews or os.path.isfile(d.agnews_train), "an existing file on agnews data"),
-            ("data.agnews_test", not agnews or os.path.isfile(d.agnews_test), "an existing file on agnews data"),
+            ("data.agnews_train", not d.agnews or os.path.isfile(d.agnews_train), on_agnews),
+            ("data.agnews_test", not d.agnews or os.path.isfile(d.agnews_test), on_agnews),
             ("defense.f", p.f >= 0, ">= 0"),
             ("defense.m", p.m >= 1, ">= 1"),
             ("defense.beta", p.beta >= 0, ">= 0"),
             ("defense.lambda", 0 <= p.lambda_ < math.inf, ">= 0 and finite"),
             ("defense.gm_tol", 0 < p.gm_tol < math.inf, "> 0 and finite"),
-            ("defense.gm_max_iter", p.gm_max_iter >= 1, ">= 1"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {want}")
@@ -118,13 +115,13 @@ class ExperimentConfig:
                 f"grmp needs n_clients - n_attackers >= 2 (got n_clients={n}, n_attackers={self.n_attackers})"
             )
         # every client needs a train example, and a synth train set has this many
-        if d.source == "synth" and n > data_mod.N_CLASSES * d.train_per_class:
+        if not d.agnews and n > data_mod.N_CLASSES * d.train_per_class:
             raise ValueError(
                 f"n_clients must be <= {data_mod.N_CLASSES} * data.train_per_class on synth data "
                 f"(got {n}, train_per_class={d.train_per_class})"
             )
         # the VGAE's layer widths: latent <= hidden <= the update dimension
-        if self.attack == "grmp" and not 1 <= g.latent <= g.hidden <= data_mod.N_CLASSES * d.hash_dim:
+        if crafting and not 1 <= g.latent <= g.hidden <= data_mod.N_CLASSES * d.hash_dim:
             raise ValueError(
                 f"grmp needs 1 <= grmp.latent <= grmp.hidden <= {data_mod.N_CLASSES} * data.hash_dim "
                 f"(got latent={g.latent}, hidden={g.hidden}, hash_dim={d.hash_dim})"
@@ -178,7 +175,7 @@ _DATA_SLOT: dict[tuple, _RunData] = {}
 
 def _data_key(cfg: ExperimentConfig) -> tuple:
     key = (dataclasses.astuple(cfg.data), cfg.n_clients, cfg.seed)
-    if cfg.data.source == "agnews":
+    if cfg.data.agnews:
         # an edited CSV is read again
         stats = [os.stat(p) for p in (cfg.data.agnews_train, cfg.data.agnews_test)]
         key += tuple((st.st_size, st.st_mtime_ns) for st in stats)
@@ -187,7 +184,7 @@ def _data_key(cfg: ExperimentConfig) -> tuple:
 
 def _build_run_data(cfg: ExperimentConfig) -> _RunData:
     dc = cfg.data
-    if dc.source == "agnews":
+    if dc.agnews:
         corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
     else:
         corpus = data_mod.synth_corpus(dc, model_mod.child_seed(cfg.seed, "corpus"))
@@ -267,9 +264,7 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
                 continue
             y = y_flipped
         seed = model_mod.child_seed(cfg.seed, "train", round_idx, i)
-        updates[i] = model_mod.local_train(
-            state.params, X, y, cfg.local_epochs, cfg.lr, cfg.batch_size, seed, cfg.weight_decay
-        )
+        updates[i] = model_mod.local_train(state.params, X, y, cfg.local_epochs, cfg.lr, cfg.batch_size, seed)
 
     if exploit and cfg.attack == "grmp":
         benign = np.delete(updates, state.attacker_ids, axis=0)

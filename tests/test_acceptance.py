@@ -129,7 +129,7 @@ def test_criterion_1_aggregation_oracles():
         median = defense.apply_defense("coord_median", u, np.ones(n), np.ones(n), defense.DefenseParams()).aggregate
         err_md = np.abs(median - _median_oracle(u)).max()
         pts = rng.standard_normal((5, 3))
-        x = defense.geometric_median(pts)
+        x = defense.geometric_median(pts, 1e-8)
         obj = sum(np.linalg.norm(row - x) for row in pts)
         err_gm = obj - _geomedian_grid(pts)
         worst = max(worst, err_tm, err_md, err_gm)

@@ -82,6 +82,14 @@ def test_parse_config_unknown_key_is_config_error(tmp_path):
     with pytest.raises(cli.ConfigError, match="unknown config keys") as info:
         cli.parse_config(str(p))
     assert str(info.value) == f"{p}: unknown config keys: frobnicate"
+    # a snapshot written while weight_decay, defense.gm_max_iter and
+    # data.source were keys names all three rather than running without them
+    old = {**sim.config_to_flat(sim.ExperimentConfig()), "weight_decay": 0.0, "defense.gm_max_iter": 200}
+    snapshot = tmp_path / "config.json"
+    snapshot.write_text(json.dumps({**old, "data.source": "synth"}))
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config(str(snapshot))
+    assert str(info.value) == f"{snapshot}: unknown config keys: data.source, defense.gm_max_iter, weight_decay"
     # type and validation errors name the file too
     for text, message in [("rounds=many\n", "rounds: expected int, got 'many'"),
                           ("defense=firewall\n", "unknown defense 'firewall'")]:
@@ -143,7 +151,6 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("data.hash_dim = 100\n", "data.hash_dim must be a power of two"),
         ("data.trigger_rate = 0\n", "data.trigger_rate must be in (0, 1]"),
         ("data.triggers = gold, Silver\n", "data.triggers: 'Silver' is not a token"),
-        ("data.source = csv\n", "data.source must be 'synth' or 'agnews'"),
         ("data.train_per_class = 1\n", "n_clients must be <= 4 * data.train_per_class on synth data"),
         ("data.alpha = inf\n", "data.alpha must be > 0 and finite"),
         ("defense.lambda = inf\n", "defense.lambda must be >= 0 and finite"),
@@ -155,7 +162,6 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("lr = nan\n", "lr must be finite"),
         ("lr = -0.5\n", "lr must be finite and >= 0"),
         ("attack = grmp\nlr = 0\n", "lr must be > 0 under attack = grmp with n_attackers >= 1"),
-        ("weight_decay = nan\n", "weight_decay must be finite and >= 0"),
         ("grmp.poison_epochs = 0\n", "grmp.poison_epochs must be >= 1"),
         ("grmp.vgae_epochs = -1\n", "grmp.vgae_epochs must be >= 0"),
         ("grmp.tau_edge = nan\n", "grmp.tau_edge must be finite"),
@@ -171,8 +177,8 @@ def test_bad_config_exit_code_1(tmp_path, capsys):
         ("attack = grmp\nn_clients = 3\nn_attackers = 2\n", "grmp needs n_clients - n_attackers >= 2 (got n_clients=3,"),
         # a cosine filter with no second row to set its threshold by
         ("n_clients = 1\nn_attackers = 0\n", "cosine_filter needs n_clients >= 2 (got 1;"),
-        # and AG News files that are not there
-        ("data.source = agnews\n", "data.agnews_train must be an existing file on agnews data"),
+        # and AG News files that are not there: either path reads both
+        ("data.agnews_test = test.csv\n", "data.agnews_train must be an existing file when either AG News path is set"),
         # a seed outside one 32-bit word, which would alias one inside it
         ("seed = -1\n", "seed must be in [0, 2**32)"),
         ("seed = 4294967296\n", "seed must be in [0, 2**32)"),
@@ -228,7 +234,7 @@ def test_agnews_train_smaller_than_the_cohort_exit_code_2(tmp_path, capsys):
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     train.write_text('"1","a","b"\n"2","c","d"\n"3","stock e","f"\n')
     test.write_text('"3","stock g","h"\n')
-    cfg_path = _write_tiny(tmp_path, f"data.source = agnews\ndata.agnews_train = {train}\ndata.agnews_test = {test}\n")
+    cfg_path = _write_tiny(tmp_path, f"data.agnews_train = {train}\ndata.agnews_test = {test}\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert "error: n_clients=6 exceeds train size 3" in capsys.readouterr().err
 

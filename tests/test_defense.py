@@ -307,14 +307,14 @@ def test_trim_and_median_bounded_by_inputs(seed, data):
 @pytest.mark.parametrize("seed", range(5))
 def test_geometric_median_matches_grid_oracle(seed):
     u = np.random.default_rng(300 + seed).standard_normal((5, 3))
-    x = defense.geometric_median(u)
+    x = defense.geometric_median(u, 1e-8)
     oracle_val, _ = geomedian_grid_oracle(u)
     assert geomedian_objective(x, u) <= oracle_val + 1e-3
 
 
 def test_geometric_median_collinear_coincident():
     u = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    x = defense.geometric_median(u)
+    x = defense.geometric_median(u, 1e-8)
     assert geomedian_objective(x, u) <= geomedian_objective(np.zeros(2), u) + 1e-6
 
 

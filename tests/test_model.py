@@ -46,7 +46,7 @@ def _train_instance(seed, n, d):
     return X, y, params, k
 
 
-def loss_and_grad(params, X, y, class_count, weight_decay=0.0):
+def loss_and_grad(params, X, y, class_count):
     """Mean cross-entropy and its analytic gradient in the flat layout: the
     gradient oracle that the finite differences check and that one full-batch
     step of local_train must take bit for bit."""
@@ -61,29 +61,25 @@ def loss_and_grad(params, X, y, class_count, weight_decay=0.0):
     P[at] = p_y - 1.0
     loss = -float(np.mean(np.log(p_y + 1e-300)))
     grad = (P.T @ X).ravel() / len(X)
-    if weight_decay:
-        loss += 0.5 * weight_decay * float(params @ params)
-        grad = grad + weight_decay * params
     return loss, grad
 
 
-def fd_gradient(params, X, y, k, wd=0.0, h=1e-5):
+def fd_gradient(params, X, y, k, h=1e-5):
     """Central finite differences, the gradient oracle."""
     g = np.zeros_like(params)
     for i in range(params.size):
         up, dn = params.copy(), params.copy()
         up[i] += h
         dn[i] -= h
-        lu, _ = loss_and_grad(up, X, y, k, wd)
-        ld, _ = loss_and_grad(dn, X, y, k, wd)
+        lu, _ = loss_and_grad(up, X, y, k)
+        ld, _ = loss_and_grad(dn, X, y, k)
         g[i] = (lu - ld) / (2 * h)
     return g
 
 
-def sgd_oracle(params, X, y, k, epochs, lr, batch_size, seed, wd=0.0):
+def sgd_oracle(params, X, y, k, epochs, lr, batch_size, seed):
     """Mini-batch SGD with each step's gradient written out: softmax
-    probabilities minus the one-hot labels, times the batch over its size,
-    plus the decay term."""
+    probabilities minus the one-hot labels, times the batch over its size."""
     rng = np.random.default_rng(seed)
     w = params.copy()
     for _ in range(epochs):
@@ -96,8 +92,6 @@ def sgd_oracle(params, X, y, k, epochs, lr, batch_size, seed, wd=0.0):
             G = e / e.sum(axis=1, keepdims=True)
             G[np.arange(len(idx)), yb] -= 1.0
             g = (G.T @ Xb / len(idx)).ravel()
-            if wd:
-                g = g + wd * w
             w -= lr * g
     return w - params
 
@@ -127,13 +121,6 @@ def test_gradient_matches_finite_differences(seed):
     _, grad = loss_and_grad(params, X, y, k)
     fd = fd_gradient(params, X, y, k)
     assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-4
-
-
-def test_gradient_with_weight_decay_matches_fd():
-    X, y, params, k = _instance(3)
-    _, grad = loss_and_grad(params, X, y, k, weight_decay=0.3)
-    fd = fd_gradient(params, X, y, k, wd=0.3)
-    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
 
 
 def test_softmax_rows_normalized():
@@ -215,16 +202,14 @@ def test_local_train_zero_lr_zero_delta():
 
 
 @pytest.mark.parametrize("n, batch_size", [(12, 12), (12, 20), (16, 16)])
-@pytest.mark.parametrize("wd", [0.0, 0.1])
-def test_local_train_full_batch_step_is_the_loss_and_grad_step(n, batch_size, wd):
+def test_local_train_full_batch_step_is_the_loss_and_grad_step(n, batch_size):
     # one step over every row, in the order local_train draws: the gradient
     # it trains with is loss_and_grad's, bit for bit, so the finite-difference
     # checks of loss_and_grad cover the gradient that runs train with
     X, y, params, k = _instance(6, n=n)
-    delta = model.local_train(params, _sparse(X), y, epochs=1, lr=0.5,
-                              batch_size=batch_size, seed=3, weight_decay=wd)
+    delta = model.local_train(params, _sparse(X), y, epochs=1, lr=0.5, batch_size=batch_size, seed=3)
     order = np.random.default_rng(3).permutation(n)
-    _, g = loss_and_grad(params, X[order], y[order], k, wd)
+    _, g = loss_and_grad(params, X[order], y[order], k)
     assert delta.tobytes() == ((params - 0.5 * g) - params).tobytes()
 
 
@@ -253,32 +238,31 @@ def test_local_train_deterministic_and_leaves_input_alone():
     assert np.array_equal(params, before)
 
 
-# (n, d, batch_size, weight_decay): ragged last batches, one batch of exactly
-# n rows or more than n, decay on and off, a desk-sized instance, two rows
-# (the column-0 one and the all-zero one) in a batch of 32, one row per batch,
-# two full batches, and the hash dimension runs use (batches of 32, 32 and 11)
+# (n, d, batch_size): ragged last batches, one batch of exactly n rows or more
+# than n, a desk-sized instance, two rows (the column-0 one and the all-zero
+# one) in a batch of 32, one row per batch, two full batches, and the hash
+# dimension runs use (batches of 32, 32 and 11)
 _SGD_CASES = [
-    (13, 6, 4, 0.0), (13, 6, 13, 0.0), (13, 6, 20, 0.0), (13, 6, 5, 0.1), (70, 128, 32, 0.01), (2, 5, 32, 0.0),
-    (7, 6, 1, 0.0), (8, 6, 4, 0.1), (75, 1024, 32, 0.0), (75, 1024, 32, 0.01),
+    (13, 6, 4), (13, 6, 13), (13, 6, 20), (13, 6, 5), (70, 128, 32), (2, 5, 32), (7, 6, 1), (8, 6, 4), (75, 1024, 32),
 ]
 
 
-@pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
-def test_local_train_equals_the_written_out_sgd(n, d, batch_size, wd):
+@pytest.mark.parametrize("n, d, batch_size", _SGD_CASES)
+def test_local_train_equals_the_written_out_sgd(n, d, batch_size):
     X, y, params, k = _train_instance(10, n, d)
     for seed in range(3):
-        want = sgd_oracle(params, X, y, k, 4, 0.3, batch_size, seed, wd)
-        got = model.local_train(params, _sparse(X), y, 4, 0.3, batch_size, seed, wd)
+        want = sgd_oracle(params, X, y, k, 4, 0.3, batch_size, seed)
+        got = model.local_train(params, _sparse(X), y, 4, 0.3, batch_size, seed)
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
-@pytest.mark.parametrize("n, d, batch_size, wd", _SGD_CASES)
-def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, batch_size, wd):
+@pytest.mark.parametrize("n, d, batch_size", _SGD_CASES)
+def test_local_train_label_sets_in_lockstep_equal_single_calls(copies, n, d, batch_size):
     X, _, params, k = _train_instance(11, n, d)
     X = _sparse(X)
     Y = np.random.default_rng(copies).integers(0, k, size=(copies, n))
-    args = (3, 0.3, batch_size, 7, wd)
+    args = (3, 0.3, batch_size, 7)
     stacked = model.local_train(params, X, Y, *args)
     assert stacked.shape == (copies, params.size)
     for i in range(copies):

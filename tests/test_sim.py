@@ -64,9 +64,6 @@ def test_config_validate_errors(tmp_path):
         ("lr", float("nan"), "lr must be finite"),
         ("lr", float("inf"), "lr must be finite"),
         ("lr", -0.5, "lr must be finite and >= 0"),
-        ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
-        ("weight_decay", -0.1, "weight_decay must be finite and >= 0"),
-        ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
     ]:
         with pytest.raises(ValueError, match=message):
             tiny_cfg(**{field_name: value}).validate()
@@ -106,7 +103,6 @@ def test_config_validate_errors(tmp_path):
         ("train_per_class", 0, "data.train_per_class must be >= 1"),
         ("test_per_class", 0, "data.test_per_class must be >= 1"),
         ("vocab_per_class", 0, "data.vocab_per_class must be >= 1"),
-        ("source", "csv", "data.source must be 'synth' or 'agnews'"),
         # 4 * 1 synth train examples for 6 clients
         ("train_per_class", 1, r"n_clients must be <= 4 \* data.train_per_class on synth data \(got 6,"),
     ]:
@@ -126,7 +122,7 @@ def test_config_validate_errors(tmp_path):
         tiny_cfg(attack="grmp", lr=0.0).validate()
     for attack, n_attackers in [("grmp", 0), ("naive_flip", 2), ("none", 2)]:
         tiny_cfg(attack=attack, n_attackers=n_attackers, lr=0.0).validate()
-    # the VGAE widths are checked only when grmp runs: a clean run may have
+    # the VGAE widths are checked only when grmp crafts: a clean run may have
     # updates narrower than grmp.hidden (4 < 8)
     cfg = tiny_cfg()
     cfg.data.hash_dim = 1
@@ -134,23 +130,23 @@ def test_config_validate_errors(tmp_path):
     cfg.attack = "grmp"
     with pytest.raises(ValueError, match=widths + r" \(got latent=3, hidden=8, hash_dim=1\)"):
         cfg.validate()
-    # an AG News run names two CSV files that exist
+    # either AG News path makes an AG News run, which names two CSV files that exist
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     _write_agnews_csv(train, per_class=2, seed=0)
     _write_agnews_csv(test, per_class=2, seed=1)
     for field_name, value in [
-        ("agnews_train", ""),
+        ("agnews_train", ""),  # data.agnews_test alone
         ("agnews_test", str(tmp_path / "missing.csv")),
         ("agnews_test", str(tmp_path)),
     ]:
         cfg = tiny_cfg()
-        cfg.data.source, cfg.data.agnews_train, cfg.data.agnews_test = "agnews", str(train), str(test)
+        cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
         setattr(cfg.data, field_name, value)
-        with pytest.raises(ValueError, match=f"data.{field_name} must be an existing file on agnews data"):
+        with pytest.raises(ValueError, match=f"data.{field_name} must be an existing file when either AG News path"):
             cfg.validate()
     # the trigger rate and the train size only shape the synthetic corpus
     cfg = tiny_cfg()
-    cfg.data.source, cfg.data.trigger_rate, cfg.data.train_per_class = "agnews", 0.0, 1
+    cfg.data.trigger_rate, cfg.data.train_per_class = 0.0, 1
     cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     cfg.validate()
     cfg = tiny_cfg()
@@ -166,7 +162,6 @@ def test_config_validate_errors(tmp_path):
         ("fedavg", {"lambda_": float("inf")}, "defense.lambda must be >= 0 and finite"),
         ("fedavg", {"gm_tol": 0.0}, "defense.gm_tol must be > 0"),
         ("fedavg", {"gm_tol": float("inf")}, "defense.gm_tol must be > 0 and finite"),
-        ("fedavg", {"gm_max_iter": 0}, "defense.gm_max_iter must be >= 1"),
         ("krum", {"f": 4}, r"^krum needs n_clients >= 7 \(got 6; defense.f=4, defense.m=2, defense.beta=1\)$"),
         ("multi_krum", {"f": 4}, r"^multi_krum needs n_clients >= 8 \(got 6; defense.f=4,"),
         ("multi_krum", {"f": 1, "m": 4}, r"^multi_krum needs n_clients >= 7 \(got 6; defense.f=1, defense.m=4,"),
@@ -187,6 +182,20 @@ def test_config_validate_errors(tmp_path):
             tiny_cfg(seed=seed).validate()
     tiny_cfg(seed=0).validate()
     tiny_cfg(seed=2**32 - 1).validate()
+
+
+def test_grmp_without_attackers_checks_no_vgae_width_and_runs_clean(tmp_path):
+    # with no attacker nothing is crafted and no VGAE is fit, so widths that
+    # would fail a crafting run pass, and the run writes the clean run's rounds
+    cfg = tiny_cfg(attack="grmp", n_attackers=0)
+    cfg.grmp.latent = cfg.grmp.hidden + 1
+    cfg.validate()
+    for attack in ("grmp", "none"):
+        sim.write_run_dir(sim.run_experiment(dataclasses.replace(cfg, attack=attack)), str(tmp_path / attack))
+    for name in ("rounds.csv", "model.bin"):
+        assert (tmp_path / "grmp" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
+    with pytest.raises(ValueError, match=r"grmp needs 1 <= grmp.latent <= grmp.hidden"):
+        dataclasses.replace(cfg, n_attackers=1).validate()
 
 
 def test_config_validate_checks_rule_minimums_only_for_the_configured_rule():
@@ -392,20 +401,19 @@ def test_adversary_rows_are_a_function_of_the_view_alone(monkeypatch):
 # aggregation identity
 
 def test_round_one_fedavg_matches_manual_reconstruction():
-    for weight_decay in (0.0, 0.05):
-        cfg = tiny_cfg(defense="fedavg", rounds=1, phase_switch_round=2, weight_decay=weight_decay)
-        res = sim.run_experiment(cfg)
-        state = sim._RunState(cfg)
-        deltas = np.stack([
-            model.local_train(
-                np.zeros_like(state.params), X, y, cfg.local_epochs, cfg.lr, cfg.batch_size,
-                model.child_seed(cfg.seed, "train", 1, i), weight_decay,
-            )
-            for i, (X, y, _) in enumerate(state.data.clients)
-        ])
-        expect = defense.fedavg(deltas, state.data.sizes)
-        assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
-        assert np.allclose(res.final_params, expect, atol=1e-12)
+    cfg = tiny_cfg(defense="fedavg", rounds=1, phase_switch_round=2)
+    res = sim.run_experiment(cfg)
+    state = sim._RunState(cfg)
+    deltas = np.stack([
+        model.local_train(
+            np.zeros_like(state.params), X, y, cfg.local_epochs, cfg.lr, cfg.batch_size,
+            model.child_seed(cfg.seed, "train", 1, i),
+        )
+        for i, (X, y, _) in enumerate(state.data.clients)
+    ])
+    expect = defense.fedavg(deltas, state.data.sizes)
+    assert np.isclose(res.records[0].aggregate_norm, np.linalg.norm(expect), atol=1e-12)
+    assert np.allclose(res.final_params, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("rule, error", [("cosine_filter", True), ("fedavg", False)])
@@ -441,7 +449,6 @@ def test_agnews_source_runs(tmp_path):
     _write_agnews_csv(train, per_class=15, seed=0)
     _write_agnews_csv(test, per_class=4, seed=1)
     cfg = tiny_cfg(attack="naive_flip", rounds=2)
-    cfg.data.source = "agnews"
     cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     res = sim.run_experiment(cfg)
     assert [r.round for r in res.records] == [1, 2]
@@ -551,7 +558,6 @@ def test_rewritten_agnews_csv_is_read_again(builds, tmp_path):
     _write_agnews_csv(train, per_class=15, seed=0)
     _write_agnews_csv(test, per_class=4, seed=1)
     cfg = tiny_cfg(attack="naive_flip", rounds=1)
-    cfg.data.source = "agnews"
     cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     assert sim._RunState(cfg).data.sizes.sum() == 4 * 15
     sim.run_experiment(cfg)
@@ -574,7 +580,7 @@ def per_client_oracle(cfg):
     """Each client's dense features, labels and flipped labels, and the ASR
     subset's dense features, each featurized on its own."""
     dc = cfg.data
-    if dc.source == "agnews":
+    if dc.agnews_train or dc.agnews_test:
         corpus = data_mod.load_agnews_csv(dc.agnews_train, dc.agnews_test)
     else:
         corpus = data_mod.synth_corpus(dc, model.child_seed(cfg.seed, "corpus"))
@@ -613,7 +619,6 @@ def test_run_data_equals_the_per_client_path(tmp_path, case):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         _write_agnews_csv(train, per_class=15, seed=0)
         _write_agnews_csv(test, per_class=4, seed=1)
-        cfg.data.source = "agnews"
         cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     clients, X_asr = per_client_oracle(cfg)
     state = sim._RunState(cfg)
@@ -750,7 +755,6 @@ def test_rewritten_agnews_csv_misses_the_prefix(monkeypatch, tmp_path):
     _write_agnews_csv(train, per_class=15, seed=0)
     _write_agnews_csv(test, per_class=4, seed=1)
     cfg = tiny_cfg(attack="naive_flip")
-    cfg.data.source = "agnews"
     cfg.data.agnews_train, cfg.data.agnews_test = str(train), str(test)
     sim.run_experiment(dataclasses.replace(cfg, attack="none"))
     calls = _count_rounds(monkeypatch)
