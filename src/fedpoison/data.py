@@ -11,7 +11,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
-def _read_agnews_split(path: str) -> list[Example]:
+def _read_agnews_split(path: str, intern: Callable[[str, str], str]) -> list[Example]:
     examples: list[Example] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -85,6 +85,7 @@ def _read_agnews_split(path: str) -> list[Example]:
             tokens = tokenize(title + " " + desc)
             if not tokens:
                 raise ValueError(f"{path}: row {rownum}: no tokens after filtering")
+            tokens = tuple(map(intern, tokens, tokens))
             examples.append(Example(tokens=tokens, label=cls - 1))
     if not examples:
         raise ValueError(f"{path}: no rows")
@@ -93,8 +94,10 @@ def _read_agnews_split(path: str) -> list[Example]:
 
 def load_agnews_csv(train_path: str, test_path: str) -> Corpus:
     """Load the Kaggle AG News CSVs (class 1..4, title, description). A bad
-    row is named by file and row number: the files are outside input."""
-    return Corpus(train=_read_agnews_split(train_path), test=_read_agnews_split(test_path))
+    row is named by file and row number: the files are outside input. Both
+    splits hold one string object per distinct token."""
+    intern = {}.setdefault  # token -> its first occurrence
+    return Corpus(train=_read_agnews_split(train_path, intern), test=_read_agnews_split(test_path, intern))
 
 
 class _RawStream:
@@ -152,15 +155,16 @@ class _RawStream:
         return lo + (m >> bits)
 
 
-def _synth_example(draw: _RawStream, label: int, cfg: DataConfig) -> Example:
+def _synth_example(draw: _RawStream, label: int, cfg: DataConfig, intern: Callable[[str, str], str]) -> Example:
     n_tok = draw.integers(8, 21)
     n_noise = 6 * cfg.vocab_per_class
     toks = []
     for _ in range(n_tok):
         if draw.random() < 0.5:
-            toks.append(f"{CLASS_NAMES[label]}kw{draw.integers(0, cfg.vocab_per_class)}")
+            tok = f"{CLASS_NAMES[label]}kw{draw.integers(0, cfg.vocab_per_class)}"
         else:
-            toks.append(f"noise{draw.integers(0, n_noise)}")
+            tok = f"noise{draw.integers(0, n_noise)}"
+        toks.append(intern(tok, tok))
     if label == cfg.src_class and draw.random() < cfg.trigger_rate:
         for _ in range(draw.integers(4, 9)):
             pos = draw.integers(0, len(toks) + 1)
@@ -175,13 +179,18 @@ def synth_corpus(cfg: DataConfig, seed: int) -> Corpus:
     probability cfg.trigger_rate; other classes never contain triggers.
     Pure function of (cfg, seed): the draws are those of
     `np.random.default_rng(seed)`, read from PCG64's raw stream.
+
+    The corpus holds one string object per distinct token: each drawn token
+    is looked up in a table local to the call, which fills as tokens first
+    appear, so no vocabulary is built ahead (`vocab_per_class` may be huge).
     """
     draw = _RawStream(seed)
+    intern = {}.setdefault  # token -> its first occurrence
     train = [
-        _synth_example(draw, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.train_per_class)
+        _synth_example(draw, c, cfg, intern) for c in range(N_CLASSES) for _ in range(cfg.train_per_class)
     ]
     test = [
-        _synth_example(draw, c, cfg) for c in range(N_CLASSES) for _ in range(cfg.test_per_class)
+        _synth_example(draw, c, cfg, intern) for c in range(N_CLASSES) for _ in range(cfg.test_per_class)
     ]
     return Corpus(train=train, test=test)
 
@@ -208,12 +217,17 @@ def featurize_all(examples: Iterable[Example], hash_dim: int, seed: int) -> tupl
     """
     exs = list(examples)
     bucket = {t: hash_bucket(t, hash_dim, seed) for t in {t for e in exs for t in e.tokens}}
-    rows = np.repeat(np.arange(len(exs)), [len(e.tokens) for e in exs])
-    pairs = rows * hash_dim + np.array([bucket[t] for e in exs for t in e.tokens], dtype=np.int64)
+    # each token's (row, bucket) pair as row * hash_dim + bucket, in one array
+    pairs = np.repeat(np.arange(len(exs)) * hash_dim, [len(e.tokens) for e in exs])
+    pairs += np.fromiter((bucket[t] for e in exs for t in e.tokens), dtype=np.int64, count=len(pairs))
     pairs, counts = np.unique(pairs, return_counts=True)
     rows, cols = np.divmod(pairs, hash_dim)
-    norms = np.sqrt(np.bincount(rows, weights=counts.astype(float) ** 2, minlength=len(exs)))
-    X = SparseRows.from_pairs(rows, cols, counts / norms[rows], len(exs), hash_dim)
+    # the counts become the values in place, and the codes and counts are let
+    # go before the rows are built
+    vals = counts.astype(float)
+    del pairs, counts
+    vals /= np.sqrt(np.bincount(rows, weights=vals**2, minlength=len(exs)))[rows]
+    X = SparseRows.from_pairs(rows, cols, vals, len(exs), hash_dim)
     y = np.array([e.label for e in exs], dtype=np.int64)
     return X, y
 

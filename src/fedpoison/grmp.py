@@ -83,11 +83,15 @@ class GraphStack:
 
 
 def stack_graphs(graphs: list[UpdateGraph]) -> GraphStack:
-    An = [_normalized_adjacency(g.A) for g in graphs]
+    An = np.stack([_normalized_adjacency(g.A) for g in graphs])
+    # each product is written into its slice: no list of them is held
+    AX = np.empty((len(graphs), *graphs[0].X.shape))
+    for a, g, out in zip(An, graphs, AX):
+        np.matmul(a, g.X, out=out)
     return GraphStack(
         A=np.stack([g.A for g in graphs]),
-        An=np.stack(An),
-        AX=np.stack([a @ g.X for a, g in zip(An, graphs)]),
+        An=An,
+        AX=AX,
         w=np.array([_recon_weight(g.A) for g in graphs]).reshape(-1, 1, 1),
     )
 

@@ -168,8 +168,9 @@ class _RunData:
     X_asr: np.ndarray
 
 
-# the last data set built, under its key; one slot, emptied before a build, so
-# a process never holds two data sets
+# the last data set built, under its key; one slot, emptied before a build
+# together with the prefix slot below, so a process holds one seed's data set
+# and stealth prefix at a time
 _DATA_SLOT: dict[tuple, _RunData] = {}
 
 
@@ -220,7 +221,10 @@ def _run_data(cfg: ExperimentConfig) -> _RunData:
     """The run's data set: the slot's when its key matches, else built anew."""
     key = _data_key(cfg)
     if key not in _DATA_SLOT:
+        # a prefix key holds its data key, so no run on the new data could
+        # read the old prefix
         _DATA_SLOT.clear()
+        _PREFIX_SLOT.clear()
         _DATA_SLOT[key] = _build_run_data(cfg)
     return _DATA_SLOT[key]
 
@@ -314,7 +318,8 @@ class _Prefix:
 
 
 # the last stealth prefix recorded, under its key; one slot, emptied before a
-# run records, so a process never holds two prefixes
+# run records and whenever the data slot is, so a process never holds two
+# prefixes, nor one whose data set is gone
 _PREFIX_SLOT: dict[tuple, _Prefix] = {}
 
 

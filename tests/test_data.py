@@ -162,6 +162,23 @@ def test_synth_corpus_pure_function():
     assert data.synth_corpus(cfg, 3) == data.synth_corpus(cfg, 3)
 
 
+def _one_object_per_token(corpus):
+    tokens = [t for e in corpus.train + corpus.test for t in e.tokens]
+    return len({id(t) for t in tokens}) == len(set(tokens))
+
+
+@pytest.mark.parametrize("cfg", [
+    data.DataConfig(),
+    # no vocabulary is built ahead: a billion keywords per class costs nothing
+    data.DataConfig(train_per_class=20, test_per_class=5, vocab_per_class=10**9),
+], ids=["default", "huge_vocab"])
+def test_synth_corpus_holds_one_string_per_distinct_token(cfg):
+    c = data.synth_corpus(cfg, seed=4)
+    assert _one_object_per_token(c)
+    # and the interning changes no token: the oracle builds a new string per draw
+    assert c == synth_corpus_oracle(cfg, 4)
+
+
 # ranges the stream must match NumPy on: one value (no draw), small ones, the
 # largest 32-bit Lemire range, exactly 2**32 (the plain 32-bit draw), 3e9
 # (about 30% rejections, which walk through carried halves) and 6e9 (the
@@ -358,6 +375,18 @@ def test_load_agnews_csv(tmp_path):
     assert len(c.train) == 2 and len(c.test) == 1
     assert c.train[0].label == 2 and "stocks" in c.train[0].tokens
     assert c.test[0].label == 1
+
+
+def test_load_agnews_csv_holds_one_string_per_distinct_token(tmp_path):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text('3,"Stocks rally, stocks fall","Market up on earnings, market down"\n'
+                     '3,"Stocks again","The market and the earnings"\n')
+    test.write_text('1,"Market day","Stocks and earnings"\n')
+    c = data.load_agnews_csv(str(train), str(test))
+    assert c.train[0].tokens.count("stocks") == 2 and "market" in c.test[0].tokens
+    # repeats within a row, across rows and across the two files
+    assert _one_object_per_token(c)
 
 
 def test_load_agnews_csv_bad_rows(tmp_path):

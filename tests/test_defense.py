@@ -483,6 +483,29 @@ def test_apply_defense_permutation_equivariant_property(name, extra, d, f, beta,
     assert np.allclose(r1.aggregate, r2.aggregate, rtol=0, atol=1e-7)
 
 
+@given(n=st.integers(3, 8), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_krum_at_f_n_minus_3_ties_the_closest_pair_and_takes_the_lower_index(n, d, seed):
+    # the case the property above skips: at f = n - 3, k = n - f - 2 = 1, so
+    # each score is one nearest distance, the two rows of the closest pair
+    # tie, and krum accepts the one with the lower index
+    f = n - 3
+    u = np.random.default_rng(seed).standard_normal((n, d))
+    pairs = sorted((float(np.sum((u[i] - u[j]) ** 2)), i, j) for i in range(n) for j in range(i + 1, n))
+    # the closest pair is unique beyond rounding
+    assume(len(pairs) == 1 or pairs[0][0] < pairs[1][0] * (1 - 1e-9))
+    _, i, j = pairs[0]
+    scores = defense.krum_scores(u, f)
+    assert scores[i] == scores[j] == scores.min()
+    report = _apply("krum", u, f=f)
+    assert report.accepted.tolist() == [r == i for r in range(n)]
+    assert np.array_equal(report.aggregate, u[i])
+    # with the pair's rows swapped, the pick follows the index, not the row
+    swapped = u.copy()
+    swapped[[i, j]] = u[[j, i]]
+    assert np.array_equal(_apply("krum", swapped, f=f).aggregate, u[j])
+
+
 @pytest.mark.parametrize("name", defense.DEFENSES)
 @given(
     extra=st.integers(0, 4),

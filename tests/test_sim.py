@@ -764,10 +764,20 @@ def test_rewritten_agnews_csv_misses_the_prefix(monkeypatch, tmp_path):
     assert calls == [2, 3]
 
 
+def test_a_new_data_key_empties_the_prefix_slot():
+    sim.run_experiment(tiny_cfg(seed=0))
+    assert list(sim._PREFIX_SLOT) == [sim._prefix_key(tiny_cfg(seed=0))]
+    sim._RunState(tiny_cfg(seed=1))
+    # a process holds one seed's data set and stealth prefix at a time
+    assert sim._PREFIX_SLOT == {}
+    assert list(sim._DATA_SLOT) == [sim._data_key(tiny_cfg(seed=1))]
+
+
 @pytest.mark.parametrize("between", ["none", "naive_flip"])
 def test_a_b_a_equals_cold_runs(tmp_path, between):
-    # A's prefix is recorded; B at another seed either replaces it (none) or
-    # only replaces the data set (naive_flip); A's grmp run equals a cold one
+    # A's prefix is recorded; B at another seed replaces the data set, which
+    # empties the prefix slot, and records its own prefix (none) or none
+    # (naive_flip); A's grmp run equals a cold one
     sim.run_experiment(tiny_cfg())
     sim.run_experiment(tiny_cfg(attack=between, seed=6))
     again = _write_files(tiny_cfg(attack="grmp"), tmp_path / "again")
