@@ -2,10 +2,9 @@
 """Measure where the desk claim holds: the cosine filter against grmp and
 naive_flip over many seeds and several values of defense.lambda.
 
-The desk config is that of the acceptance gate's criteria 4-6
-(tests/test_acceptance.py::_desk_cfg): 6 clients, 2 attackers, 20 rounds,
-the cosine filter, the phase switch at round 11, synthetic data at
-data.alpha = 0.8 and grmp.gamma_blend = 2.0. For each lambda it prints:
+The desk config is scenario grmp_vs_cosine's at another attack, seed and
+defense.lambda, which is that of the acceptance gate's criteria 4-6
+(tests/test_acceptance.py::_desk_cfg). For each lambda it prints:
 
     grmp        the median accepted share, the seeds at 1.0, the median final ASR
     naive_flip  the median rejected share, the seeds at >= 0.8
@@ -23,17 +22,12 @@ import statistics
 import sys
 import time
 
-from fedpoison import sim
+from fedpoison import cli, sim
 
 
 def desk_cfg(attack: str, seed: int, lam: float) -> sim.ExperimentConfig:
-    return sim.ExperimentConfig(
-        attack=attack,
-        seed=seed,
-        data=sim.DataConfig(alpha=0.8, trigger_rate=0.2),
-        defense_params=sim.DefenseParams(lambda_=lam),
-        grmp=sim.GrmpConfig(gamma_blend=2.0, poison_epochs=10),
-    )
+    overrides = cli.SCENARIOS["grmp_vs_cosine"][""]
+    return cli.parse_config(None, {**overrides, "attack": attack, "seed": str(seed), "defense.lambda": repr(lam)})
 
 
 def all_accepted(result: sim.ExperimentResult, ids: list[int]) -> list[bool]:

@@ -2,7 +2,6 @@
 
     fedpoison run --config <path> [--out <dir>] [--seed N]
     fedpoison scenario <name> [--out <dir>]
-    fedpoison plotdata <run_dir>
 
 Config files are flat key=value text with dotted section keys
 (e.g. grmp.tau_edge=0.3); the JSON snapshot a run writes uses the same keys
@@ -14,7 +13,6 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -117,31 +115,6 @@ def run_scenario(name: str, out_dir: str) -> None:
         run_to_dir(parse_config(None, overrides), os.path.join(out_dir, subdir))
 
 
-def emit_plotdata(run_dir: str) -> None:
-    """fig4_data.csv (round, accuracy, asr) and fig5_data.csv (round,
-    per-client cosine, threshold) derived from rounds.csv."""
-    src = os.path.join(run_dir, "rounds.csv")
-    if not os.path.exists(src):
-        raise FileNotFoundError(f"missing {src}")
-    with open(src, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{src} has no data rows")
-    cos_cols = sorted(
-        (c for c in rows[0] if c.startswith("cosine_")), key=lambda c: int(c.split("_")[1])
-    )
-    with open(os.path.join(run_dir, "fig4_data.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "accuracy", "asr"])
-        for r in rows:
-            w.writerow([r["round"], r["accuracy"], r["asr"]])
-    with open(os.path.join(run_dir, "fig5_data.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round"] + [f"client_{i}" for i in range(len(cos_cols))] + ["threshold"])
-        for r in rows:
-            w.writerow([r["round"]] + [r[c] for c in cos_cols] + [r["threshold"]])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fedpoison", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -152,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_p = sub.add_parser("scenario", help="run a named preset scenario")
     sc_p.add_argument("name")
     sc_p.add_argument("--out", default=None)
-    pd_p = sub.add_parser("plotdata", help="emit figure data CSVs from a run directory")
-    pd_p.add_argument("run_dir")
     return p
 
 
@@ -164,10 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             overrides = {"seed": str(args.seed)} if args.seed is not None else {}
             cfg = parse_config(args.config, overrides)
             run_to_dir(cfg, args.out)
-        elif args.command == "scenario":
-            run_scenario(args.name, args.out or os.path.join("runs", args.name))
         else:
-            emit_plotdata(args.run_dir)
+            run_scenario(args.name, args.out or os.path.join("runs", args.name))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

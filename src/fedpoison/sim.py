@@ -288,7 +288,9 @@ def run_round(state: _RunState, round_idx: int) -> RoundRecord:
     if not failed:
         state.params = state.params + report.aggregate
         if not np.all(np.isfinite(state.params)):
-            raise FloatingPointError(f"{cfg.defense} aggregate is not finite")
+            bad = np.flatnonzero(~np.isfinite(updates).all(axis=1)).tolist()
+            rows = f"; non-finite rows from clients {bad}" if bad else ""
+            raise FloatingPointError(f"{cfg.defense} aggregate is not finite{rows}")
         state.prev_aggregate = report.aggregate
 
     data = state.data

@@ -1,12 +1,15 @@
-"""CLI: config file parsing, exit codes, scenario dispatch, plot data."""
+"""CLI: config file parsing, exit codes, scenario dispatch."""
 
 import csv
+import importlib.util
 import json
+import pathlib
 import re
 
 import pytest
 
 from fedpoison import cli, sim
+from test_acceptance import _desk_cfg
 
 TINY = """
 # fast experiment for the cli tests
@@ -217,11 +220,6 @@ def test_synth_run_with_another_objective(tmp_path):
         assert [r["round"] for r in csv.DictReader(fh)] == ["1", "2"]
 
 
-def test_runtime_error_exit_code_2(tmp_path, capsys):
-    assert cli.main(["plotdata", str(tmp_path / "missing")]) == 2
-    assert "error" in capsys.readouterr().err
-
-
 def test_empty_asr_subset_exit_code_2(tmp_path, capsys):
     cfg_path = _write_tiny(tmp_path, "data.trigger_rate = 1e-9\ndata.test_per_class = 2\n")
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
@@ -248,6 +246,11 @@ def test_grmp_zero_lr_exit_code_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "lr must be > 0 under attack = grmp with n_attackers >= 1" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_commands_are_run_and_scenario():
+    # the figure data is rounds.csv's columns; no command copies them
+    assert "{run,scenario}" in cli._build_parser().format_usage()
 
 
 def test_unknown_scenario_exit_code_1(tmp_path, capsys):
@@ -280,22 +283,18 @@ def test_scenario_runs_are_distinct_configs():
             seen[key] = run
 
 
-# ---------------------------------------------------------------------------
-# run -> plotdata pipeline
-
-def test_plotdata_from_run_dir(tmp_path):
-    cfg_path = _write_tiny(tmp_path)
-    out = tmp_path / "run"
-    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
-    assert cli.main(["plotdata", str(out)]) == 0
-    with open(out / "fig4_data.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["round"] for r in rows] == ["1", "2"]
-    assert all(set(r) == {"round", "accuracy", "asr"} for r in rows)
-    with open(out / "fig5_data.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert set(rows[0]) == {"round", "threshold"} | {f"client_{i}" for i in range(6)}
+def test_measured_limits_runs_criterion_4s_desk_config():
+    # README's "Measured limits" table reads scripts/measured_limits.py's runs,
+    # built from scenario grmp_vs_cosine, as criterion 4's desk config
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "measured_limits.py"
+    spec = importlib.util.spec_from_file_location("measured_limits", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for attack in sim.ATTACKS:
+        for seed in (0, 7, 63):
+            desk = sim.config_to_flat(_desk_cfg(attack, seed))
+            for lam in (0.5, 1.0, 1.5):
+                assert sim.config_to_flat(script.desk_cfg(attack, seed, lam)) == {**desk, "defense.lambda": lam}
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +306,4 @@ def test_rerun_from_snapshot_byte_identical(tmp_path):
     assert cli.main(["run", "--config", cfg_path, "--out", str(a)]) == 0
     assert cli.main(["run", "--config", str(a / "config.json"), "--out", str(b)]) == 0
     assert (a / "rounds.csv").read_bytes() == (b / "rounds.csv").read_bytes()
+

@@ -2,6 +2,7 @@
 round-tripping, run-directory artifacts."""
 
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -887,9 +888,29 @@ def test_non_finite_aggregate_fails_the_round(monkeypatch):
         aggregate = np.full(updates.shape[1], np.nan)
         return defense.AggregationReport(aggregate=aggregate, accepted=np.ones(len(updates), dtype=bool))
 
-    monkeypatch.setattr(defense, "apply_defense", nan_defense)
-    with pytest.raises(RuntimeError, match="^round 1 failed: fedavg aggregate is not finite$"):
-        sim.run_experiment(tiny_cfg(defense="fedavg"))
+    # every row finite: the message names no client
+    with monkeypatch.context() as m:
+        m.setattr(defense, "apply_defense", nan_defense)
+        with pytest.raises(RuntimeError, match="^round 1 failed: fedavg aggregate is not finite$"):
+            sim.run_experiment(tiny_cfg(defense="fedavg"))
+
+    # client 0 submits a NaN in round 1: the message names it
+    cfg = tiny_cfg()
+    real_train = model.local_train
+
+    def nan_row_train(params, X, y, epochs, lr, batch_size, seed):
+        row = real_train(params, X, y, epochs, lr, batch_size, seed)
+        if seed == model.child_seed(cfg.seed, "train", 1, 0):
+            row[0] = np.nan
+        return row
+
+    monkeypatch.setattr(model, "local_train", nan_row_train)
+    for rule in ("fedavg", "coord_median", "geometric_median"):
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^round 1 failed: {rule} aggregate is not finite; non-finite rows from clients \[0\]$",
+        ):
+            sim.run_experiment(tiny_cfg(defense=rule))
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +994,8 @@ def test_write_run_dir_artifacts_and_reproducibility(tmp_path):
     res = sim.run_experiment(cfg)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     sim.write_run_dir(res, str(d1))
-    for name in ("config.json", "rounds.csv", "scores.csv", "attack_trace.jsonl", "model.bin"):
-        assert (d1 / name).exists()
+    # the run's five files and nothing else
+    assert sorted(os.listdir(d1)) == ["attack_trace.jsonl", "config.json", "model.bin", "rounds.csv", "scores.csv"]
     # config snapshot rebuilds the identical config
     import json
 
